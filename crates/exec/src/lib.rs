@@ -23,6 +23,10 @@
 //! [`global()`] for the shared process-wide pool or [`Pool::new`] for a
 //! private one (tests).
 //!
+//! [`CellTable`] lets concurrent submitters that share a pool compute
+//! each distinct cell once: they claim keys, run only their own claims
+//! as a batch, and then wait on the keys other submitters own.
+//!
 //! # Examples
 //!
 //! ```
@@ -43,6 +47,10 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use fdip_telemetry::{Histogram, Json, ToJson};
+
+mod cells;
+
+pub use cells::{CellTable, Claim};
 
 /// A type-erased unit of work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -357,19 +365,38 @@ impl Pool {
         self.run_batch(guarded)
     }
 
+    /// This pool's worker index of the calling thread, or `None` when
+    /// the caller is not one of this pool's workers.
+    fn worker_id(&self) -> Option<usize> {
+        match WORKER.with(Cell::get) {
+            Some((pool, id)) if pool == Arc::as_ptr(&self.shared) as usize => Some(id),
+            _ => None,
+        }
+    }
+
+    /// Runs one pending job on worker `id`'s behalf; `false` when no job
+    /// was waiting.
+    fn help(&self, id: usize) -> bool {
+        match self.shared.try_take(id) {
+            Some(job) => {
+                self.shared.execute(id, job);
+                true
+            }
+            None => false,
+        }
+    }
+
     /// Blocks until `batch` completes; a worker thread helps execute
     /// pending jobs (its own batch's or anyone else's) instead of idling.
     fn wait_for<T>(&self, batch: &Batch<T>) {
-        let me = WORKER.with(Cell::get);
-        let helping = matches!(me, Some((pool, _)) if pool == Arc::as_ptr(&self.shared) as usize);
+        let me = self.worker_id();
+        let helping = me.is_some();
         loop {
-            if helping {
+            if let Some(id) = me {
                 if *lock(&batch.remaining) == 0 {
                     return;
                 }
-                let id = me.expect("helping implies worker").1;
-                if let Some(job) = self.shared.try_take(id) {
-                    self.shared.execute(id, job);
+                if self.help(id) {
                     continue;
                 }
             }

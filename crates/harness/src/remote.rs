@@ -78,29 +78,46 @@ pub fn cell_key(cfg_hash: u64, wl_hash: u64, seed: u64, warmup: u64, measure: u6
 
 fn direction_to_json(d: &DirectionConfig) -> Json {
     match d {
-        DirectionConfig::Tage(t) => Json::obj()
+        DirectionConfig::Tage(TageConfig {
+            num_tables,
+            entries_log2,
+            tag_bits,
+            min_hist,
+            max_hist,
+            bimodal_log2,
+        }) => Json::obj()
             .with("kind", "tage")
-            .with("num_tables", t.num_tables as u64)
-            .with("entries_log2", u64::from(t.entries_log2))
-            .with("tag_bits", u64::from(t.tag_bits))
-            .with("min_hist", u64::from(t.min_hist))
-            .with("max_hist", u64::from(t.max_hist))
-            .with("bimodal_log2", u64::from(t.bimodal_log2)),
-        DirectionConfig::Gshare(g) => Json::obj()
+            .with("num_tables", *num_tables as u64)
+            .with("entries_log2", u64::from(*entries_log2))
+            .with("tag_bits", u64::from(*tag_bits))
+            .with("min_hist", u64::from(*min_hist))
+            .with("max_hist", u64::from(*max_hist))
+            .with("bimodal_log2", u64::from(*bimodal_log2)),
+        DirectionConfig::Gshare(GshareConfig {
+            table_log2,
+            hist_bits,
+        }) => Json::obj()
             .with("kind", "gshare")
-            .with("table_log2", u64::from(g.table_log2))
-            .with("hist_bits", u64::from(g.hist_bits)),
+            .with("table_log2", u64::from(*table_log2))
+            .with("hist_bits", u64::from(*hist_bits)),
         DirectionConfig::Perfect => Json::obj().with("kind", "perfect"),
     }
 }
 
 fn cache_cfg_to_json(c: &CacheConfig) -> Json {
+    let CacheConfig {
+        size_bytes,
+        assoc,
+        line_bytes,
+        hit_latency,
+        mshrs,
+    } = *c;
     Json::obj()
-        .with("size_bytes", c.size_bytes as u64)
-        .with("assoc", c.assoc as u64)
-        .with("line_bytes", c.line_bytes as u64)
-        .with("hit_latency", c.hit_latency)
-        .with("mshrs", c.mshrs as u64)
+        .with("size_bytes", size_bytes as u64)
+        .with("assoc", assoc as u64)
+        .with("line_bytes", line_bytes as u64)
+        .with("hit_latency", hit_latency)
+        .with("mshrs", mshrs as u64)
 }
 
 /// Serializes a [`CoreConfig`] into its canonical wire form.
@@ -108,68 +125,122 @@ fn cache_cfg_to_json(c: &CacheConfig) -> Json {
 /// Field names and nesting are specified in `docs/SERVE.md`; the field
 /// *order* is part of the cache-key contract (see [`config_hash`]), so
 /// new fields must be appended, never reordered.
+///
+/// The form is the config's identity: the daemon's cell keys and the
+/// local `Runner`'s cell table both derive from it. Every config struct
+/// is destructured without `..`, so a field added to any of them fails
+/// to compile here until the form includes it — two configs that
+/// simulate differently can never share a key.
 pub fn config_to_json(cfg: &CoreConfig) -> Json {
+    let CoreConfig {
+        fetch_width,
+        decode_width,
+        pred_bw,
+        multi_taken,
+        ftq_entries,
+        btb: BtbConfig {
+            entries: btb_entries,
+            assoc: btb_assoc,
+        },
+        btb_latency,
+        perfect_btb,
+        perfect_indirect,
+        direction,
+        ittage:
+            IttageConfig {
+                entries_log2,
+                base_log2,
+                tag_bits,
+                hist_lens,
+            },
+        policy,
+        pfc,
+        loop_predictor,
+        prefetcher,
+        prefetch_issue_bw,
+        redirect_penalty,
+        pfc_redirect_penalty,
+        func_warmup,
+        mem:
+            HierarchyConfig {
+                l1i,
+                l1d,
+                l2,
+                llc,
+                dram_latency,
+            },
+        backend:
+            BackendConfig {
+                rob_size,
+                decode_queue,
+                dispatch_width,
+                retire_width,
+                frontend_depth,
+                data_hot_bytes,
+                data_total_bytes,
+                data_hot_pct,
+            },
+    } = *cfg;
     Json::obj()
-        .with("fetch_width", cfg.fetch_width as u64)
-        .with("decode_width", cfg.decode_width as u64)
-        .with("pred_bw", cfg.pred_bw as u64)
-        .with("multi_taken", cfg.multi_taken)
-        .with("ftq_entries", cfg.ftq_entries as u64)
+        .with("fetch_width", fetch_width as u64)
+        .with("decode_width", decode_width as u64)
+        .with("pred_bw", pred_bw as u64)
+        .with("multi_taken", multi_taken)
+        .with("ftq_entries", ftq_entries as u64)
         .with(
             "btb",
             Json::obj()
-                .with("entries", cfg.btb.entries as u64)
-                .with("assoc", cfg.btb.assoc as u64),
+                .with("entries", btb_entries as u64)
+                .with("assoc", btb_assoc as u64),
         )
-        .with("btb_latency", cfg.btb_latency)
-        .with("perfect_btb", cfg.perfect_btb)
-        .with("perfect_indirect", cfg.perfect_indirect)
-        .with("direction", direction_to_json(&cfg.direction))
+        .with("btb_latency", btb_latency)
+        .with("perfect_btb", perfect_btb)
+        .with("perfect_indirect", perfect_indirect)
+        .with("direction", direction_to_json(&direction))
         .with(
             "ittage",
             Json::obj()
-                .with("entries_log2", u64::from(cfg.ittage.entries_log2))
-                .with("base_log2", u64::from(cfg.ittage.base_log2))
-                .with("tag_bits", u64::from(cfg.ittage.tag_bits))
+                .with("entries_log2", u64::from(entries_log2))
+                .with("base_log2", u64::from(base_log2))
+                .with("tag_bits", u64::from(tag_bits))
                 .with(
                     "hist_lens",
                     Json::Arr(
-                        cfg.ittage
-                            .hist_lens
+                        hist_lens
                             .iter()
                             .map(|&l| Json::from(u64::from(l)))
                             .collect(),
                     ),
                 ),
         )
-        .with("policy", cfg.policy.label())
-        .with("pfc", cfg.pfc)
-        .with("loop_predictor", cfg.loop_predictor)
-        .with("prefetcher", cfg.prefetcher.label())
-        .with("prefetch_issue_bw", cfg.prefetch_issue_bw as u64)
-        .with("redirect_penalty", cfg.redirect_penalty)
-        .with("pfc_redirect_penalty", cfg.pfc_redirect_penalty)
-        .with("func_warmup", cfg.func_warmup)
+        .with("policy", policy.label())
+        .with("pfc", pfc)
+        .with("loop_predictor", loop_predictor)
+        .with("prefetcher", prefetcher.label())
+        .with("prefetch_issue_bw", prefetch_issue_bw as u64)
+        .with("redirect_penalty", redirect_penalty)
+        .with("pfc_redirect_penalty", pfc_redirect_penalty)
+        .with("func_warmup", func_warmup)
         .with(
             "mem",
             Json::obj()
-                .with("l1i", cache_cfg_to_json(&cfg.mem.l1i))
-                .with("l1d", cache_cfg_to_json(&cfg.mem.l1d))
-                .with("l2", cache_cfg_to_json(&cfg.mem.l2))
-                .with("llc", cache_cfg_to_json(&cfg.mem.llc))
-                .with("dram_latency", cfg.mem.dram_latency),
+                .with("l1i", cache_cfg_to_json(&l1i))
+                .with("l1d", cache_cfg_to_json(&l1d))
+                .with("l2", cache_cfg_to_json(&l2))
+                .with("llc", cache_cfg_to_json(&llc))
+                .with("dram_latency", dram_latency),
         )
         .with(
             "backend",
             Json::obj()
-                .with("rob_size", cfg.backend.rob_size as u64)
-                .with("decode_queue", cfg.backend.decode_queue as u64)
-                .with("dispatch_width", cfg.backend.dispatch_width as u64)
-                .with("retire_width", cfg.backend.retire_width as u64)
-                .with("frontend_depth", cfg.backend.frontend_depth)
-                .with("data_hot_bytes", cfg.backend.data_hot_bytes)
-                .with("data_total_bytes", cfg.backend.data_total_bytes)
-                .with("data_hot_pct", u64::from(cfg.backend.data_hot_pct)),
+                .with("rob_size", rob_size as u64)
+                .with("decode_queue", decode_queue as u64)
+                .with("dispatch_width", dispatch_width as u64)
+                .with("retire_width", retire_width as u64)
+                .with("frontend_depth", frontend_depth)
+                .with("data_hot_bytes", data_hot_bytes)
+                .with("data_total_bytes", data_total_bytes)
+                .with("data_hot_pct", u64::from(data_hot_pct)),
         )
 }
 

@@ -6,15 +6,38 @@
 //! Every simulation goes through [`Runner::run_configs_detailed`]: the
 //! whole config × workload grid is flattened into **one** batch so
 //! distinct configs overlap on the pool, and results are collected into
-//! indexed slots — suite order, never completion order — which keeps
+//! indexed slots — `cfgs` order, never completion order — which keeps
 //! sweeps deterministic for any `FDIP_JOBS` setting.
+//!
+//! # Each distinct cell is simulated once
+//!
+//! A cell is one `(CoreConfig, workload)` simulation. Its identity
+//! within a `Runner` is the config's canonical wire form
+//! ([`config_to_json`], which names every config field, so two configs
+//! share a key only if they simulate identically) plus the workload's
+//! index; the programs and run lengths are fixed when the `Runner` is
+//! built. Results live in a [`CellTable`] for the `Runner`'s lifetime,
+//! so a cell repeated within one sweep, or across the sweeps of
+//! experiments running concurrently on one `Runner`, is simulated once.
+//!
+//! A sweep claims every cell nobody owns yet under one lock, runs only
+//! its own claims as one pool batch, and waits on cells other sweeps own
+//! only after that batch has finished and resolved each of its cells.
+//! Every cell still running therefore belongs to a sweep that is driving
+//! its batch, so sweeps cannot deadlock each other. A cell that panics
+//! is marked failed: its owner re-raises the panic, every sweep waiting
+//! on it panics too, and a later request simulates it again.
+//!
+//! The remote path ([`Runner::with_server`]) bypasses the table; the
+//! daemon coalesces on its own.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::remote::RemoteClient;
+use crate::remote::{config_to_json, RemoteClient};
 use crate::suite::{SuiteResult, WorkloadResult};
-use fdip_exec::Pool;
+use fdip_exec::{CellTable, Claim, Pool};
 use fdip_program::workload::{self, Workload};
 use fdip_program::Program;
 use fdip_sim::{run_workload_job, CoreConfig, SimDists, SimStats};
@@ -36,6 +59,13 @@ struct SuiteEntry {
     program: Arc<Program>,
 }
 
+/// A cell's identity within one [`Runner`]: the config's canonical wire
+/// form and the workload's suite index.
+type CellKey = (Arc<str>, usize);
+
+/// One simulated cell, shared by the table and every sweep that asks.
+type CellResult = Arc<(SimStats, SimDists)>;
+
 /// The evaluation driver: a built workload suite plus run lengths.
 pub struct Runner {
     workloads: Vec<SuiteEntry>,
@@ -51,6 +81,8 @@ pub struct Runner {
     /// Set after the first failed remote grid: later grids go straight
     /// to local execution instead of re-trying a dead daemon.
     remote_failed: AtomicBool,
+    /// Every cell this runner has simulated or is simulating.
+    cells: Arc<CellTable<CellKey, CellResult>>,
 }
 
 impl Runner {
@@ -91,6 +123,7 @@ impl Runner {
             pool: None,
             remote: None,
             remote_failed: AtomicBool::new(false),
+            cells: Arc::new(CellTable::new()),
         }
     }
 
@@ -237,10 +270,10 @@ impl Runner {
             .unwrap_or_default()
     }
 
-    /// Runs a whole config sweep: every `(config, workload)` pair becomes
-    /// one pool job, submitted as a single batch so the grid saturates
-    /// the pool. Returns one suite-ordered stats vector per config, in
-    /// `cfgs` order.
+    /// Runs a whole config sweep: every `(config, workload)` cell this
+    /// runner has not simulated yet becomes one pool job, submitted as a
+    /// single batch so the grid saturates the pool. Returns one
+    /// suite-ordered stats vector per config, in `cfgs` order.
     pub fn run_configs(&self, cfgs: &[CoreConfig]) -> Vec<Vec<SimStats>> {
         self.run_configs_detailed(cfgs)
             .into_iter()
@@ -249,6 +282,11 @@ impl Runner {
     }
 
     /// Like [`Runner::run_configs`], but with distribution telemetry.
+    ///
+    /// # Panics
+    ///
+    /// If a cell's simulation panics, in the sweep that simulated it
+    /// (with the original payload) and in every sweep waiting on it.
     pub fn run_configs_detailed(&self, cfgs: &[CoreConfig]) -> Vec<Vec<(SimStats, SimDists)>> {
         if cfgs.is_empty() {
             return Vec::new();
@@ -256,19 +294,56 @@ impl Runner {
         if let Some(grid) = self.try_remote(cfgs) {
             return grid;
         }
+        let n = self.workloads.len();
+        let keys: Vec<CellKey> = cfgs
+            .iter()
+            .flat_map(|cfg| {
+                let canon: Arc<str> = config_to_json(cfg).to_string().into();
+                (0..n).map(move |wi| (Arc::clone(&canon), wi))
+            })
+            .collect();
+        let claims = self.cells.claim(keys.iter().cloned());
+
         let (warmup, measure) = (self.warmup, self.measure);
-        let mut jobs = Vec::with_capacity(cfgs.len() * self.workloads.len());
-        for cfg in cfgs {
-            for entry in &self.workloads {
-                let cfg = cfg.clone();
-                let program = Arc::clone(&entry.program);
-                jobs.push(move || run_workload_job(cfg, program, warmup, measure));
+        let mut jobs = Vec::new();
+        for (i, (key, claim)) in keys.iter().zip(&claims).enumerate() {
+            if !matches!(claim, Claim::Owned) {
+                continue;
             }
+            let cfg = cfgs[i / n].clone();
+            let program = Arc::clone(&self.workloads[key.1].program);
+            let (cells, key) = (Arc::clone(&self.cells), key.clone());
+            jobs.push(move || {
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    run_workload_job(cfg, program, warmup, measure)
+                }))
+                .map(Arc::new);
+                cells.resolve(key, result.as_ref().ok().cloned());
+                result
+            });
         }
-        let mut flat = self.pool().run_batch(jobs).into_iter();
-        cfgs.iter()
-            .map(|_| (&mut flat).take(self.workloads.len()).collect())
-            .collect()
+        let mut owned = self.pool().run_batch(jobs).into_iter();
+
+        // Every owned cell is resolved now; only then wait on the rest.
+        let mut flat = Vec::with_capacity(keys.len());
+        for (key, claim) in keys.iter().zip(claims) {
+            let cell = match claim {
+                Claim::Owned => owned
+                    .next()
+                    .expect("one batch result per owned cell")
+                    .unwrap_or_else(|payload| resume_unwind(payload)),
+                Claim::Done(cell) => cell,
+                Claim::Pending => self.cells.wait(key, self.pool()).unwrap_or_else(|| {
+                    panic!(
+                        "cell (workload {}) panicked in the sweep that simulated it",
+                        self.workloads[key.1].name
+                    )
+                }),
+            };
+            flat.push((*cell).clone());
+        }
+        let mut flat = flat.into_iter();
+        cfgs.iter().map(|_| (&mut flat).take(n).collect()).collect()
     }
 
     /// Runs `cfg` over the whole suite and packages the results (with a
@@ -394,9 +469,10 @@ mod tests {
 
     #[test]
     fn speedup_of_identical_runs_is_zero() {
-        let r = Runner::quick(1_000, 5_000);
-        let a = r.run_config(&CoreConfig::fdp());
-        let b = r.run_config(&CoreConfig::fdp());
+        // Two runners, so the second run simulates afresh instead of
+        // reading the first one's cells back.
+        let a = Runner::quick(1_000, 5_000).run_config(&CoreConfig::fdp());
+        let b = Runner::quick(1_000, 5_000).run_config(&CoreConfig::fdp());
         let s = Runner::speedup_pct(&a, &b);
         assert!(s.abs() < 1e-9, "{s}");
     }
@@ -408,9 +484,146 @@ mod tests {
         let grid = r.run_configs(&cfgs);
         assert_eq!(grid.len(), 2);
         // The flattened batch must land each (config, workload) result in
-        // its own slot, identical to running the configs one at a time.
-        assert_eq!(grid[0], r.run_config(&CoreConfig::no_fdp()));
-        assert_eq!(grid[1], r.run_config(&CoreConfig::fdp()));
+        // its own slot, identical to running the configs one at a time
+        // (on a fresh runner, whose table holds none of the grid's cells).
+        let fresh = Runner::quick(1_000, 5_000);
+        assert_eq!(grid[0], fresh.run_config(&CoreConfig::no_fdp()));
+        assert_eq!(grid[1], fresh.run_config(&CoreConfig::fdp()));
+    }
+
+    /// Serializes a detailed grid the way `results.json` does.
+    fn grid_json(grid: &[Vec<(SimStats, SimDists)>]) -> Vec<String> {
+        grid.iter()
+            .flatten()
+            .map(|(s, d)| s.to_json().to_string() + &d.to_json().to_string())
+            .collect()
+    }
+
+    #[test]
+    fn duplicate_configs_in_one_sweep_simulate_once() {
+        let pool = Arc::new(Pool::new(2));
+        let r = Runner::quick(1_000, 5_000).with_pool(Arc::clone(&pool));
+        let cfgs = [
+            CoreConfig::no_fdp(),
+            CoreConfig::fdp(),
+            CoreConfig::no_fdp(),
+        ];
+        let grid = r.run_configs_detailed(&cfgs);
+        assert_eq!(
+            pool.stats().jobs_completed,
+            2 * 3,
+            "2 distinct configs × 3 workloads"
+        );
+        let fresh = Runner::quick(1_000, 5_000);
+        let one_at_a_time: Vec<_> = cfgs
+            .iter()
+            .map(|cfg| fresh.run_config_detailed(cfg))
+            .collect();
+        assert_eq!(grid_json(&grid), grid_json(&one_at_a_time));
+    }
+
+    #[test]
+    fn concurrent_overlapping_sweeps_simulate_each_cell_once() {
+        let pool = Arc::new(Pool::new(2));
+        let r = Runner::quick(1_000, 5_000).with_pool(Arc::clone(&pool));
+        let nl = CoreConfig::fdp().with_prefetcher(fdip_prefetch::PrefetcherKind::NextLine);
+        let a = [CoreConfig::no_fdp(), CoreConfig::fdp()];
+        let b = [CoreConfig::fdp(), nl, CoreConfig::no_fdp()];
+        let start = std::sync::Barrier::new(2);
+        let (ga, gb) = std::thread::scope(|s| {
+            let ta = s.spawn(|| {
+                start.wait();
+                r.run_configs_detailed(&a)
+            });
+            let tb = s.spawn(|| {
+                start.wait();
+                r.run_configs_detailed(&b)
+            });
+            (ta.join().expect("sweep a"), tb.join().expect("sweep b"))
+        });
+        assert_eq!(
+            pool.stats().jobs_completed,
+            3 * 3,
+            "3 distinct configs × 3 workloads"
+        );
+        let (ga, gb) = (grid_json(&ga), grid_json(&gb));
+        // a = [no_fdp, fdp], b = [fdp, nl, no_fdp], 3 workloads each.
+        assert_eq!(ga[..3], gb[6..]);
+        assert_eq!(ga[3..], gb[..3]);
+    }
+
+    #[test]
+    fn a_panicking_cell_fails_its_owner_and_waiters_then_reruns() {
+        // A 3K-entry, 4-way BTB has 768 sets, not a power of two, so
+        // building its simulator panics.
+        let bad = CoreConfig::fdp().with_btb_entries(3 * 1024);
+        let good = CoreConfig::fdp();
+        let pool = Arc::new(Pool::new(1));
+        let programs = workload::quick_suite()
+            .into_iter()
+            .take(1)
+            .map(|w| (w.name.clone(), Arc::new(w.build())))
+            .collect();
+        let r = Runner::from_programs(programs, 500, 2_000).with_pool(Arc::clone(&pool));
+        let submitted = |n: u64| {
+            while pool.stats().queue_depth.count() < n {
+                std::thread::yield_now();
+            }
+        };
+        // Hold the only worker so the sweeps below queue behind it.
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let blocker = Arc::clone(&pool);
+            s.spawn(move || {
+                blocker.run_batch(vec![move || {
+                    started_tx.send(()).expect("test alive");
+                    release_rx.recv().expect("released");
+                }])
+            });
+            started_rx.recv().expect("blocker running");
+            let owner = s.spawn(|| r.run_config(&bad));
+            submitted(2);
+            // Owns `good`, finds `bad` running: its job is queued once
+            // its claim is made.
+            let waiter = s.spawn(|| r.run_configs(&[good.clone(), bad.clone()]));
+            submitted(3);
+            release_tx.send(()).expect("blocker alive");
+            assert!(owner.join().is_err(), "the owner re-raises the panic");
+            assert!(
+                waiter.join().is_err(),
+                "the waiter panics instead of hanging"
+            );
+        });
+        assert_eq!(
+            pool.stats().jobs_completed,
+            3,
+            "blocker, bad and good ran once each"
+        );
+        let again = catch_unwind(AssertUnwindSafe(|| r.run_config(&bad)));
+        assert!(again.is_err());
+        assert_eq!(
+            pool.stats().jobs_completed,
+            4,
+            "a failed cell is simulated again"
+        );
+        assert_eq!(r.run_config(&good).len(), 1);
+        assert_eq!(pool.stats().jobs_completed, 4, "a finished cell is not");
+    }
+
+    #[test]
+    fn all_experiments_simulate_only_their_distinct_cells() {
+        // `fdip-experiments all` submits 396 quick-suite cells, 90
+        // distinct configs × 3 workloads of them.
+        let pool = Arc::new(Pool::new(2));
+        let r = Runner::quick(200, 1_000).with_pool(Arc::clone(&pool));
+        std::thread::scope(|s| {
+            for e in crate::experiments::all() {
+                let r = &r;
+                s.spawn(move || (e.run)(r));
+            }
+        });
+        assert_eq!(pool.stats().jobs_completed, 90 * 3);
     }
 
     #[test]

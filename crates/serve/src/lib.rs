@@ -16,7 +16,8 @@
 //!   daemon resumable;
 //! * [`scheduler`] — grid validation, admission control (bounded
 //!   in-flight grids with 429 backpressure), cell classification
-//!   (cache hit / coalesce onto an in-flight simulation / run), and
+//!   (cache hit / coalesce onto an in-flight simulation / run, through
+//!   the same `fdip_exec::CellTable` the local `Runner` uses), and
 //!   response assembly;
 //! * [`telemetry`] — the shared `fdip-obs` metrics registry behind both
 //!   the Document 6 manifest (`GET /v1/telemetry`) and the Prometheus
@@ -45,7 +46,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use fdip_exec::{CancelToken, Pool};
+use fdip_exec::{CancelToken, CellTable, Pool};
 use fdip_harness::remote::{
     GRID_PATH, HEALTHZ_PATH, LOGS_PATH, METRICS_PATH, PROGRESS_PATH, SHUTDOWN_PATH, TELEMETRY_PATH,
 };
@@ -114,17 +115,6 @@ pub(crate) struct Gate {
     pub(crate) connections: usize,
 }
 
-/// Coalescing state of one cell key across every in-flight grid.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub(crate) enum SlotState {
-    /// Some grid is simulating this cell right now.
-    Running,
-    /// The cell's result reached the cache.
-    Done,
-    /// The owning grid was cancelled before (or while) committing it.
-    Failed,
-}
-
 /// Externally visible progress of one grid (`GET /v1/progress`).
 #[derive(Clone, Debug)]
 pub(crate) struct GridProgress {
@@ -147,8 +137,10 @@ pub(crate) struct Shared {
     pub(crate) telemetry: ServeTelemetry,
     pub(crate) gate: Mutex<Gate>,
     pub(crate) gate_cv: Condvar,
-    pub(crate) slots: Mutex<BTreeMap<String, SlotState>>,
-    pub(crate) slots_cv: Condvar,
+    /// Cell keys simulated or being simulated by this daemon: `Done`
+    /// once the result reached the cache, `Failed` if its grid was
+    /// cancelled before committing it.
+    pub(crate) cells: CellTable<String, ()>,
     pub(crate) progress: Mutex<BTreeMap<String, GridProgress>>,
     pub(crate) suites: Mutex<BTreeMap<String, Arc<Vec<BuiltWorkload>>>>,
     pub(crate) tokens: Mutex<BTreeMap<String, CancelToken>>,
@@ -228,8 +220,7 @@ impl Server {
             telemetry: ServeTelemetry::new(),
             gate: Mutex::new(Gate::default()),
             gate_cv: Condvar::new(),
-            slots: Mutex::new(BTreeMap::new()),
-            slots_cv: Condvar::new(),
+            cells: CellTable::new(),
             progress: Mutex::new(BTreeMap::new()),
             suites: Mutex::new(BTreeMap::new()),
             tokens: Mutex::new(BTreeMap::new()),

@@ -5,8 +5,9 @@
 //! Every cell takes exactly one of three paths:
 //!
 //! * **hit** — its key is already in the content-addressed cache;
-//! * **coalesced** — another in-flight grid owns the same key, so this
-//!   grid waits on that simulation instead of duplicating it;
+//! * **coalesced** — another in-flight grid owns the same key in the
+//!   daemon's [`fdip_exec::CellTable`], so this grid waits on that
+//!   simulation instead of duplicating it;
 //! * **simulated** — this grid owns the key: the cell runs through the
 //!   same [`fdip_sim::run_workload_job`] the local `Runner` uses, the
 //!   result is committed to the cache, and `cell_done` is journaled.
@@ -21,7 +22,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use fdip_exec::CancelToken;
+use fdip_exec::{CancelToken, Claim};
 use fdip_harness::remote::{
     cell_key, config_from_json, config_hash, config_to_json, fnv1a64, workload_hash,
 };
@@ -31,23 +32,13 @@ use fdip_sim::{run_workload_job, CoreConfig};
 use fdip_telemetry::{Json, ToJson, SCHEMA_VERSION};
 
 use crate::http::ServeError;
-use crate::{BuiltWorkload, GridProgress, Shared, SlotState};
+use crate::{BuiltWorkload, GridProgress, Shared};
 
-/// How a grid position resolves against the cache and the in-flight
-/// coalescing map.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum Plan {
-    /// Served straight from the cache.
-    Hit,
-    /// Another grid (or an earlier duplicate position in this one) is
-    /// simulating the key; wait for its slot.
-    Coalesce,
-    /// This grid simulates the key.
-    Own,
-}
-
-/// One grid position: `(cell key, config index, workload index, plan)`.
-type Cell = (String, usize, usize, Plan);
+/// One grid position: `(cell key, config index, workload index, claim)`.
+/// `Claim::Done` is a cache hit, `Claim::Pending` a cell coalesced onto
+/// another grid's (or an earlier position's) simulation, and
+/// `Claim::Owned` a cell this grid simulates.
+type Cell = (String, usize, usize, Claim<()>);
 
 struct ValidGrid {
     client: String,
@@ -122,8 +113,8 @@ pub(crate) fn handle_grid(
     let classify_start = recorder.as_ref().map(|r| r.now_us());
     let cells = classify(shared, &grid, &suite);
     let total = cells.len() as u64;
-    let hits = cells.iter().filter(|c| c.3 == Plan::Hit).count() as u64;
-    let coalesced = cells.iter().filter(|c| c.3 == Plan::Coalesce).count() as u64;
+    let hits = cells.iter().filter(|c| c.3 == Claim::Done(())).count() as u64;
+    let coalesced = cells.iter().filter(|c| c.3 == Claim::Pending).count() as u64;
     if let Some(r) = &recorder {
         r.slice(
             Track::Grid,
@@ -377,12 +368,12 @@ fn grid_id(grid: &ValidGrid) -> String {
     format!("{:016x}", fnv1a64(canon.as_bytes()))
 }
 
-/// Resolves every grid position against the cache and the coalescing
-/// map, claiming `Own` slots atomically under one lock so no two grids
-/// (or duplicate positions within one grid) ever simulate the same key.
+/// Resolves every grid position: a key already in the cache is a hit,
+/// and the rest are claimed in the daemon's cell table under its one
+/// lock, so no two grids (or duplicate positions within one grid) ever
+/// simulate the same key.
 fn classify(shared: &Shared, grid: &ValidGrid, suite: &[BuiltWorkload]) -> Vec<Cell> {
-    let mut slots = shared.slots.lock().expect("slot lock");
-    let mut cells = Vec::with_capacity(grid.cfgs.len() * suite.len());
+    let mut positions = Vec::with_capacity(grid.cfgs.len() * suite.len());
     for ci in 0..grid.cfgs.len() {
         for (wi, (w, _, wl_hash)) in suite.iter().enumerate() {
             let key = cell_key(
@@ -392,22 +383,23 @@ fn classify(shared: &Shared, grid: &ValidGrid, suite: &[BuiltWorkload]) -> Vec<C
                 grid.warmup,
                 grid.measure,
             );
-            let plan = match slots.get(&key) {
-                Some(SlotState::Running) => Plan::Coalesce,
-                Some(SlotState::Done) => Plan::Hit,
-                Some(SlotState::Failed) | None => {
-                    if shared.cache.contains(&key) {
-                        Plan::Hit
-                    } else {
-                        slots.insert(key.clone(), SlotState::Running);
-                        Plan::Own
-                    }
-                }
-            };
-            cells.push((key, ci, wi, plan));
+            let cached = shared.cache.contains(&key);
+            positions.push((key, ci, wi, cached));
         }
     }
-    cells
+    let uncached = positions.iter().filter(|p| !p.3).map(|p| p.0.clone());
+    let mut claims = shared.cells.claim(uncached).into_iter();
+    positions
+        .into_iter()
+        .map(|(key, ci, wi, cached)| {
+            let claim = if cached {
+                Claim::Done(())
+            } else {
+                claims.next().expect("one claim per uncached cell")
+            };
+            (key, ci, wi, claim)
+        })
+        .collect()
 }
 
 /// Runs this grid's `Own` cells as one cancellable pool batch, guarded
@@ -422,7 +414,7 @@ fn run_owned(
     cells: &[Cell],
     recorder: Option<&Arc<SpanRecorder>>,
 ) -> Result<(), ServeError> {
-    let own: Vec<&Cell> = cells.iter().filter(|c| c.3 == Plan::Own).collect();
+    let own: Vec<&Cell> = cells.iter().filter(|c| c.3 == Claim::Owned).collect();
     if own.is_empty() {
         return Ok(());
     }
@@ -499,15 +491,7 @@ fn run_owned(
             {
                 p.completed_cells += 1;
             }
-            set_slot(
-                &shared,
-                &key,
-                if committed {
-                    SlotState::Done
-                } else {
-                    SlotState::Failed
-                },
-            );
+            shared.cells.resolve(key, committed.then_some(()));
             committed
         });
     }
@@ -532,8 +516,9 @@ fn run_owned(
     let _ = watchdog.join();
     shared.tokens.lock().expect("token lock").remove(grid_id);
 
-    // Cells the cancellation skipped never ran their closure, so their
-    // slots are still Running: fail them so coalesced waiters unblock.
+    // Cells the cancellation skipped never ran their closure, so they
+    // are still running in the table: fail them so coalesced waiters
+    // unblock.
     let mut ok = true;
     for ((key, _, _, _), result) in own.iter().zip(&results) {
         match result {
@@ -541,7 +526,7 @@ fn run_owned(
             Some(false) => ok = false,
             None => {
                 ok = false;
-                set_slot(shared, key, SlotState::Failed);
+                shared.cells.resolve(key.clone(), None);
             }
         }
     }
@@ -568,38 +553,15 @@ fn run_owned(
     }
 }
 
-fn set_slot(shared: &Shared, key: &str, state: SlotState) {
-    shared
-        .slots
-        .lock()
-        .expect("slot lock")
-        .insert(key.to_string(), state);
-    shared.slots_cv.notify_all();
-}
-
-/// Blocks until every coalesced cell's owning grid resolves its slot.
-/// Returns `false` if any owner failed (cancelled before commit).
+/// Blocks until every coalesced cell's owning grid resolves it.
+/// Returns `false` if an owner failed (cancelled before commit).
 fn wait_coalesced(shared: &Shared, cells: &[Cell]) -> bool {
-    let mut ok = true;
-    let mut slots = shared.slots.lock().expect("slot lock");
-    for (key, _, _, plan) in cells {
-        if *plan != Plan::Coalesce {
-            continue;
-        }
-        loop {
-            match slots.get(key) {
-                Some(SlotState::Done) | None => break,
-                Some(SlotState::Failed) => {
-                    ok = false;
-                    break;
-                }
-                Some(SlotState::Running) => {
-                    slots = shared.slots_cv.wait(slots).expect("slot lock");
-                }
-            }
+    for (key, ..) in cells.iter().filter(|c| c.3 == Claim::Pending) {
+        if shared.cells.wait(key, shared.pool()).is_none() {
+            return false;
         }
     }
-    ok
+    true
 }
 
 fn finish_interrupted(shared: &Shared, grid_id: &str, recorder: Option<&Arc<SpanRecorder>>) {
@@ -652,7 +614,7 @@ fn assemble(
                 format!("cache entry {key} is missing stats/dists"),
             ));
         }
-        if *plan == Plan::Own {
+        if *plan == Claim::Owned {
             simulated += 1;
         }
         out.push(
@@ -660,13 +622,13 @@ fn assemble(
                 .with("cell", key.as_str())
                 .with("config_index", *ci as u64)
                 .with("workload", suite[*wi].0.name.as_str())
-                .with("cache_hit", *plan == Plan::Hit)
+                .with("cache_hit", *plan == Claim::Done(()))
                 .with("stats", stats)
                 .with("dists", dists),
         );
     }
-    let hits = cells.iter().filter(|c| c.3 == Plan::Hit).count() as u64;
-    let coalesced = cells.iter().filter(|c| c.3 == Plan::Coalesce).count() as u64;
+    let hits = cells.iter().filter(|c| c.3 == Claim::Done(())).count() as u64;
+    let coalesced = cells.iter().filter(|c| c.3 == Claim::Pending).count() as u64;
     Ok(Json::obj()
         .with("schema_version", SCHEMA_VERSION)
         .with("grid_id", grid_id)

@@ -48,18 +48,27 @@ echo "==> cargo clippy"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> determinism smoke: FDIP_JOBS=1 vs FDIP_JOBS=2"
-# A quick-suite experiments run must produce byte-identical JSON for any
-# worker count once the volatile manifest fields are stripped
+# A quick-suite run of every experiment must produce byte-identical JSON
+# for any worker count once the volatile manifest fields are stripped
 # (docs/METRICS.md: wall_seconds, generated_unix, git_revision, pool).
+# The experiments share one Runner, so this also diffs cells coalesced
+# across experiments; and since each distinct cell is simulated once,
+# the pool's jobs_completed must agree too.
 for jobs in 1 2; do
   FDIP_SUITE=quick FDIP_WARMUP=2000 FDIP_INSTRS=10000 FDIP_JOBS="$jobs" \
-    ./target/release/fdip-experiments --json "$tmp/j$jobs.json" fig7 fig9 \
+    ./target/release/fdip-experiments --json "$tmp/j$jobs.json" all \
     > /dev/null
   cargo run -q --release --offline --example strip_results -- \
     "$tmp/j$jobs.json" > "$tmp/j$jobs.stripped.json"
 done
 diff -u "$tmp/j1.stripped.json" "$tmp/j2.stripped.json"
-echo "    identical results at 1 and 2 workers"
+jobs1="$(grep -o '"jobs_completed": [0-9]*' "$tmp/j1.json")"
+jobs2="$(grep -o '"jobs_completed": [0-9]*' "$tmp/j2.json")"
+if [ -z "$jobs1" ] || [ "$jobs1" != "$jobs2" ]; then
+  echo "pool.jobs_completed differs: 1 worker '$jobs1', 2 workers '$jobs2'" >&2
+  exit 1
+fi
+echo "    identical results and $jobs1 at 1 and 2 workers"
 
 echo "==> trace smoke: --trace emits a valid Chrome trace"
 # A short traced run must produce a trace_event document the in-repo
@@ -87,11 +96,14 @@ echo "==> serve smoke: served sweep == local sweep, then 100% cache hits"
 # Start the daemon on an ephemeral port — with observability fully on
 # (debug logging, a log file, span tracing) so the byte-identity diff
 # below doubles as the obs-on vs obs-off determinism gate
-# (docs/OBSERVABILITY.md) — run the same quick sweep as the determinism
-# smoke through it, and require the stripped results to be byte-identical
-# to the local run above (docs/SERVE.md "Determinism guarantee"). A
-# second served pass must hit only the cache, and the daemon must drain
-# cleanly on ctl shutdown.
+# (docs/OBSERVABILITY.md) — run a quick sweep through it, and require
+# the stripped results to be byte-identical to the same sweep run locally
+# (docs/SERVE.md "Determinism guarantee"). A second served pass must hit
+# only the cache, and the daemon must drain cleanly on ctl shutdown.
+FDIP_SUITE=quick FDIP_WARMUP=2000 FDIP_INSTRS=10000 \
+  ./target/release/fdip-experiments --json "$tmp/local.json" fig7 fig9 > /dev/null
+cargo run -q --release --offline --example strip_results -- \
+  "$tmp/local.json" > "$tmp/local.stripped.json"
 ./target/release/fdip-serve --addr 127.0.0.1:0 --state-dir "$tmp/serve-state" \
   --log debug --log-file "$tmp/serve-file.log" --trace-dir "$tmp/serve-traces" \
   --port-file "$tmp/serve.addr" > "$tmp/serve.log" 2>&1 &
@@ -107,7 +119,7 @@ for pass in 1 2; do
     --json "$tmp/served$pass.json" fig7 fig9 > /dev/null
   cargo run -q --release --offline --example strip_results -- \
     "$tmp/served$pass.json" > "$tmp/served$pass.stripped.json"
-  diff -u "$tmp/j1.stripped.json" "$tmp/served$pass.stripped.json"
+  diff -u "$tmp/local.stripped.json" "$tmp/served$pass.stripped.json"
 done
 ./target/release/fdip-serve ctl "$addr" telemetry > "$tmp/serve-telemetry.json"
 grep -q '"cache_hits"' "$tmp/serve-telemetry.json"
