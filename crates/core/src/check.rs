@@ -105,7 +105,7 @@ pub fn run_workload_checked(
     warmup: u64,
     measure: u64,
 ) -> CheckedRun {
-    let mut sim = Simulator::new(cfg.clone(), program, 0xf0cced);
+    let mut sim = Simulator::new(cfg.clone(), program, crate::sim::RUN_SEED);
     let (stats, dists) = sim.run_detailed_unchecked(warmup, measure);
     let mut violations = Vec::new();
     violations.extend(check_stall_partition("measured", &stats));

@@ -139,7 +139,7 @@ impl Default for CoreConfig {
             prefetch_issue_bw: 8,
             redirect_penalty: 1,
             pfc_redirect_penalty: 1,
-            func_warmup: 2_000_000,
+            func_warmup: CoreConfig::DEFAULT_FUNC_WARMUP,
             mem: HierarchyConfig::default(),
             backend: BackendConfig::default(),
         }
@@ -147,6 +147,10 @@ impl Default for CoreConfig {
 }
 
 impl CoreConfig {
+    /// The default [`func_warmup`](CoreConfig::func_warmup): 2M
+    /// committed instructions.
+    pub const DEFAULT_FUNC_WARMUP: u64 = 2_000_000;
+
     /// The paper's improved-FDP configuration: 24-entry FTQ, PFC on,
     /// taken-only target history, no dedicated prefetcher.
     pub fn fdp() -> Self {

@@ -38,6 +38,7 @@ pub mod hist;
 pub mod meta;
 pub mod oracle;
 pub mod predictors;
+pub mod prepared;
 pub mod probe;
 pub mod sim;
 pub mod stats;
@@ -51,6 +52,7 @@ pub use dists::SimDists;
 pub use ftq::{ftq_overhead_bytes, FillState, Ftq, FtqEntry, SlotBranch};
 pub use hist::HistState;
 pub use meta::StaticMeta;
+pub use prepared::PreparedProgram;
 pub use probe::ProbeTable;
 pub use sim::{
     run_workload, run_workload_detailed, run_workload_job, run_workload_traced, Simulator,

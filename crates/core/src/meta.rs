@@ -10,8 +10,10 @@
 //!
 //! [`StaticMeta`] computes everything once per [`Program`] into a
 //! structure of flat arrays indexed by image slot: a dense one-byte kind
-//! tag, a property-bit byte, the statically-embedded target, and the
-//! slot's cache-line number. The perfect-BTB visibility rule (§VI-A:
+//! tag, a property-bit byte, and the statically-embedded target (a
+//! slot's cache line follows from its address). The arrays are shared,
+//! so a clone costs three reference-count bumps and every cell of a
+//! workload can use one decode. The perfect-BTB visibility rule (§VI-A:
 //! real BTBs only ever allocate branches that are taken at least once,
 //! so never-taken conditionals stay undetectable) is folded into the
 //! property bits, so configurations with `perfect_btb` derive their
@@ -19,6 +21,7 @@
 
 use fdip_program::{BranchBehavior, Program};
 use fdip_types::{Addr, BranchKind, InstrKind, OpClass, CACHE_LINE_BYTES, INSTR_BYTES};
+use std::sync::Arc;
 
 /// Dense kind tag: non-branch operation classes first, branch kinds
 /// from [`TAG_COND_DIRECT`] upward (so `tag >= TAG_COND_DIRECT` is the
@@ -103,24 +106,57 @@ pub const fn tag_of(kind: InstrKind) -> u8 {
     }
 }
 
+/// The property bits of the instruction `kind` at `addr`.
+fn flags_of(program: &Program, addr: Addr, kind: InstrKind) -> u8 {
+    let InstrKind::Branch { kind: bk, .. } = kind else {
+        return 0;
+    };
+    let mut f = F_BRANCH;
+    if bk.is_unconditional() {
+        f |= F_UNCOND;
+    }
+    if bk.is_call() {
+        f |= F_CALL;
+    }
+    if bk.is_return() {
+        f |= F_RETURN;
+    }
+    if bk.is_direct() {
+        f |= F_DIRECT;
+    }
+    if bk.is_indirect() {
+        f |= F_INDIRECT;
+    }
+    if bk.pfc_target_available() {
+        f |= F_PFC_TARGET;
+    }
+    let visible = bk.is_unconditional()
+        || match program.behavior_at(addr) {
+            Some(BranchBehavior::Bias { p_taken }) => *p_taken >= 0.02,
+            _ => true,
+        };
+    if visible {
+        f |= F_BTB_VISIBLE;
+    }
+    f
+}
+
 /// Structure-of-arrays static metadata, one entry per image slot.
 ///
 /// Built once per program by [`StaticMeta::new`]; every accessor that
 /// takes a PC does one subtract-shift-compare to find the slot, so the
-/// hot path never re-enters `fdip_program`.
+/// hot path never re-enters `fdip_program`. Clones share the arrays.
 #[derive(Clone, Debug)]
 pub struct StaticMeta {
     /// Raw base address of slot 0.
     base: u64,
     /// Dense kind tag per slot.
-    tags: Vec<u8>,
+    tags: Arc<[u8]>,
     /// Property bits per slot.
-    flags: Vec<u8>,
+    flags: Arc<[u8]>,
     /// Embedded branch target per slot ([`Addr::NULL`] for non-branches,
     /// indirect branches, and returns).
-    targets: Vec<Addr>,
-    /// Cache-line number per slot.
-    lines: Vec<u64>,
+    targets: Arc<[Addr]>,
 }
 
 impl StaticMeta {
@@ -128,61 +164,21 @@ impl StaticMeta {
     /// perfect-BTB visibility bit) into flat arrays.
     pub fn new(program: &Program) -> Self {
         let image = program.image();
-        let n = image.len();
-        let mut tags = Vec::with_capacity(n);
-        let mut flags = Vec::with_capacity(n);
-        let mut targets = Vec::with_capacity(n);
-        let mut lines = Vec::with_capacity(n);
-        for i in 0..n {
-            let addr = image.addr_of(i);
-            let kind = image.instr_at(addr).kind;
-            tags.push(tag_of(kind));
-            targets.push(match kind {
-                InstrKind::Branch { target, .. } => target,
-                InstrKind::Op(_) => Addr::NULL,
-            });
-            lines.push(addr.line_number());
-            let mut f = 0u8;
-            if let InstrKind::Branch { kind: bk, .. } = kind {
-                f |= F_BRANCH;
-                if bk.is_unconditional() {
-                    f |= F_UNCOND;
-                }
-                if bk.is_call() {
-                    f |= F_CALL;
-                }
-                if bk.is_return() {
-                    f |= F_RETURN;
-                }
-                if bk.is_direct() {
-                    f |= F_DIRECT;
-                }
-                if bk.is_indirect() {
-                    f |= F_INDIRECT;
-                }
-                if bk.pfc_target_available() {
-                    f |= F_PFC_TARGET;
-                }
-                let visible = if bk.is_unconditional() {
-                    true
-                } else {
-                    match program.behavior_at(addr) {
-                        Some(BranchBehavior::Bias { p_taken }) => *p_taken >= 0.02,
-                        _ => true,
-                    }
-                };
-                if visible {
-                    f |= F_BTB_VISIBLE;
-                }
-            }
-            flags.push(f);
-        }
+        // Each array is collected straight into its shared allocation.
+        let kinds = || image.instrs().iter().map(|i| i.kind);
         StaticMeta {
             base: image.base().raw(),
-            tags,
-            flags,
-            targets,
-            lines,
+            tags: kinds().map(tag_of).collect(),
+            flags: kinds()
+                .enumerate()
+                .map(|(i, kind)| flags_of(program, image.addr_of(i), kind))
+                .collect(),
+            targets: kinds()
+                .map(|kind| match kind {
+                    InstrKind::Branch { target, .. } => target,
+                    InstrKind::Op(_) => Addr::NULL,
+                })
+                .collect(),
         }
     }
 
@@ -235,9 +231,13 @@ impl StaticMeta {
     }
 
     /// Cache-line number of slot `idx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of bounds.
     #[inline]
     pub fn line(&self, idx: usize) -> u64 {
-        self.lines[idx]
+        self.addr_of(idx).line_number()
     }
 
     /// Dense kind tag at `pc` ([`TAG_ALU`], i.e. NOP, when unmapped —

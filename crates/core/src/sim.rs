@@ -19,6 +19,7 @@ use crate::hist::HistState;
 use crate::meta::{self, StaticMeta};
 use crate::oracle::Oracle;
 use crate::predictors::Predictors;
+use crate::prepared::{Prepared, PreparedProgram};
 use crate::probe::ProbeTable;
 use crate::stats::{SimStats, StallReason};
 use fdip_bpred::{IttagePrediction, TagePrediction};
@@ -34,6 +35,10 @@ const REISSUE_FILTER_SLOTS: usize = 4096;
 
 /// Cycles a prefetched line stays suppressed in the re-issue filter.
 const REISSUE_WINDOW: Cycle = 768;
+
+/// The engine seed of every run entry point ([`run_workload`] and
+/// friends, and [`PreparedProgram::simulator`]).
+pub(crate) const RUN_SEED: u64 = 0xf0cced;
 
 /// The assembled core simulator for one workload.
 pub struct Simulator<'p> {
@@ -90,34 +95,45 @@ impl<'p> Simulator<'p> {
     ///
     /// The LLC is pre-warmed with the code image, modelling the paper's
     /// 50M-instruction warm-up after which the instruction footprint is
-    /// LLC-resident (DESIGN.md §2).
+    /// LLC-resident (DESIGN.md §2). The BTB is trained on the first
+    /// `cfg.func_warmup` committed instructions.
+    ///
+    /// This decodes the image and records the warm-up for this one
+    /// simulator; cells of one workload share both through
+    /// [`PreparedProgram::simulator`] instead.
     pub fn new(cfg: CoreConfig, program: &'p Program, seed: u64) -> Self {
-        let preds = Predictors::new(&cfg);
+        let prepared = Prepared::new(program, seed, cfg.func_warmup);
+        Simulator::with_prepared(cfg, program, &prepared)
+    }
+
+    /// Builds a simulator from `prepared`, which must have been built
+    /// from `program` with `cfg.func_warmup`.
+    pub(crate) fn with_prepared(
+        cfg: CoreConfig,
+        program: &'p Program,
+        prepared: &Prepared,
+    ) -> Self {
+        assert_eq!(
+            prepared.func_warmup(),
+            cfg.func_warmup,
+            "the warm-up input must cover the configured warm-up"
+        );
+        let meta = prepared.meta().clone();
+        assert_eq!(
+            meta.len(),
+            program.image().len(),
+            "prepared for another program"
+        );
+        let mut preds = Predictors::new(&cfg);
         let hist = HistState::new(&preds.plan);
         let backend = cfg.backend;
         let mut mem = Hierarchy::new(cfg.mem);
         let base_line = program.image().base().line_number();
         let end_line = (program.image().base() + program.image().footprint_bytes()).line_number();
         mem.prewarm_llc_instr(base_line..=end_line);
-        let meta = StaticMeta::new(program);
-        let mut preds = preds;
-        // Functional warm-up: replay the committed stream architecturally
-        // and train the BTB, as ChampSim's long warm-up does.
-        if cfg.func_warmup > 0 {
-            let mut engine = ExecutionEngine::new(program, seed);
-            for _ in 0..cfg.func_warmup {
-                let d = engine.step();
-                if let Some(kind) = d.kind.branch_kind() {
-                    if d.taken {
-                        preds.btb.insert(d.pc, kind, d.next_pc);
-                    } else if cfg.policy.allocate_not_taken() {
-                        if let Some(t) = meta.static_target_at(d.pc) {
-                            preds.btb.insert(d.pc, kind, t);
-                        }
-                    }
-                }
-            }
-        }
+        // Functional warm-up: train the BTB on the committed stream, as
+        // ChampSim's long warm-up does.
+        prepared.warm_btb(&mut preds.btb, cfg.policy.allocate_not_taken());
         let perfect_btb_bits = if cfg.perfect_btb {
             meta.perfect_btb_bits()
         } else {
@@ -128,7 +144,7 @@ impl<'p> Simulator<'p> {
             .has_reissue_filter()
             .then(|| ProbeTable::new(REISSUE_FILTER_SLOTS));
         Simulator {
-            oracle: Oracle::new(ExecutionEngine::new(program, seed)),
+            oracle: Oracle::new(ExecutionEngine::new(program, prepared.seed())),
             mem,
             prefetcher,
             ftq: Ftq::new(cfg.ftq_entries),
@@ -1194,7 +1210,7 @@ pub fn run_workload_detailed(
     warmup: u64,
     measure: u64,
 ) -> (SimStats, SimDists) {
-    let mut sim = Simulator::new(cfg.clone(), program, 0xf0cced);
+    let mut sim = Simulator::new(cfg.clone(), program, RUN_SEED);
     sim.run_detailed(warmup, measure)
 }
 
@@ -1209,27 +1225,27 @@ pub fn run_workload_traced(
     measure: u64,
     trace_capacity: usize,
 ) -> (SimStats, SimDists, Tracer) {
-    let mut sim = Simulator::new(cfg.clone(), program, 0xf0cced);
+    let mut sim = Simulator::new(cfg.clone(), program, RUN_SEED);
     sim.enable_trace(trace_capacity);
     let (stats, dists) = sim.run_detailed(warmup, measure);
     (stats, dists, sim.take_tracer())
 }
 
-/// The `Send`-safe (`'static`) run entry point for job pools: owns its
-/// configuration and shares the program behind an [`Arc`](std::sync::Arc),
-/// so the closure capturing the arguments can cross threads without
-/// borrowing the submitter's stack.
+/// The run entry point for sweep cells on a job pool: the workload's
+/// decode and functional warm-up come from its shared
+/// [`PreparedProgram`], built by whichever cell needs them first.
 ///
-/// Identical results to [`run_workload_detailed`] — same fixed seed, so a
-/// given `(cfg, program, warmup, measure)` is deterministic no matter
-/// which thread runs it.
+/// Identical results to [`run_workload_detailed`] on the same program —
+/// same fixed seed, so a given `(cfg, program, warmup, measure)` is
+/// deterministic no matter which thread runs it or which cell prepared
+/// the workload.
 pub fn run_workload_job(
     cfg: CoreConfig,
-    program: std::sync::Arc<Program>,
+    workload: &PreparedProgram,
     warmup: u64,
     measure: u64,
 ) -> (SimStats, SimDists) {
-    run_workload_detailed(&cfg, &program, warmup, measure)
+    workload.simulator(cfg).run_detailed(warmup, measure)
 }
 
 /// Compile-time proof that everything a pool job captures or returns can
@@ -1239,6 +1255,7 @@ fn assert_run_entry_points_are_send() {
     fn check<T: Send + Sync>() {}
     check::<CoreConfig>();
     check::<Program>();
+    check::<PreparedProgram>();
     check::<SimStats>();
     check::<SimDists>();
 }

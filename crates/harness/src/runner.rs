@@ -30,6 +30,21 @@
 //!
 //! The remote path ([`Runner::with_server`]) bypasses the table; the
 //! daemon coalesces on its own.
+//!
+//! # Each workload is prepared once
+//!
+//! A cell's set-up splits into a config-dependent part (predictors,
+//! caches, the BTB) and a part that depends only on the workload and
+//! `func_warmup`: the decode of the image and the committed branch
+//! stream of the functional warm-up. Each workload keeps the latter, for
+//! the default `func_warmup` every sweep cell uses, in a
+//! [`PreparedProgram`] beside its program, for the `Runner`'s lifetime
+//! (a cell with another `func_warmup` records a one-off copy). Nothing
+//! is prepared when the `Runner` is built: the first cell of a workload
+//! to reach a pool worker records it inside the sweep, cells that
+//! arrive meanwhile wait for that one recording, and every cell replays
+//! the stream into its own BTB, so results equal a one-off
+//! `Simulator::new`.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -40,7 +55,7 @@ use crate::suite::{SuiteResult, WorkloadResult};
 use fdip_exec::{CellTable, Claim, Pool};
 use fdip_program::workload::{self, Workload};
 use fdip_program::Program;
-use fdip_sim::{run_workload_job, CoreConfig, SimDists, SimStats};
+use fdip_sim::{run_workload_job, CoreConfig, PreparedProgram, SimDists, SimStats};
 use fdip_telemetry::{RunManifest, ToJson};
 
 /// Geometric mean of a slice of positive values.
@@ -52,11 +67,12 @@ pub fn geomean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
-/// One suite entry: a built program plus the labels it reports under.
+/// One suite entry: a built program, with the warm-up input its cells
+/// share, plus the labels it reports under.
 struct SuiteEntry {
     name: String,
     family: String,
-    program: Arc<Program>,
+    program: Arc<PreparedProgram>,
 }
 
 /// A cell's identity within one [`Runner`]: the config's canonical wire
@@ -93,7 +109,7 @@ impl Runner {
             .map(|w| SuiteEntry {
                 name: w.name.clone(),
                 family: w.family.to_string(),
-                program: Arc::new(w.build()),
+                program: Arc::new(PreparedProgram::new(Arc::new(w.build()))),
             })
             .collect();
         Runner::from_entries(built, warmup, measure)
@@ -108,7 +124,7 @@ impl Runner {
             .map(|(name, program)| SuiteEntry {
                 name,
                 family: "generated".to_string(),
-                program,
+                program: Arc::new(PreparedProgram::new(program)),
             })
             .collect();
         Runner::from_entries(entries, warmup, measure).with_suite_name("generated")
@@ -311,11 +327,11 @@ impl Runner {
                 continue;
             }
             let cfg = cfgs[i / n].clone();
-            let program = Arc::clone(&self.workloads[key.1].program);
+            let workload = Arc::clone(&self.workloads[key.1].program);
             let (cells, key) = (Arc::clone(&self.cells), key.clone());
             jobs.push(move || {
                 let result = catch_unwind(AssertUnwindSafe(|| {
-                    run_workload_job(cfg, program, warmup, measure)
+                    run_workload_job(cfg, &workload, warmup, measure)
                 }))
                 .map(Arc::new);
                 cells.resolve(key, result.as_ref().ok().cloned());
@@ -624,6 +640,28 @@ mod tests {
             }
         });
         assert_eq!(pool.stats().jobs_completed, 90 * 3);
+    }
+
+    #[test]
+    fn concurrent_experiments_prepare_each_workload_once() {
+        let pool = Arc::new(Pool::new(2));
+        let r = Runner::quick(200, 1_000).with_pool(Arc::clone(&pool));
+        let builds =
+            |r: &Runner| -> Vec<u64> { r.workloads.iter().map(|w| w.program.builds()).collect() };
+        assert_eq!(builds(&r), [0, 0, 0], "nothing is prepared before a sweep");
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for id in ["fig7", "fig8"] {
+                let e = crate::experiments::by_id(id).expect("registered experiment");
+                let (r, start) = (&r, &start);
+                s.spawn(move || {
+                    start.wait();
+                    (e.run)(r)
+                });
+            }
+        });
+        assert!(pool.stats().jobs_completed > 3, "many cells per workload");
+        assert_eq!(builds(&r), [1, 1, 1], "one warm-up input per workload");
     }
 
     #[test]

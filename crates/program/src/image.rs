@@ -37,6 +37,11 @@ impl CodeImage {
         self.instrs.is_empty()
     }
 
+    /// The instructions, slot by slot.
+    pub fn instrs(&self) -> &[StaticInstr] {
+        &self.instrs
+    }
+
     /// Total code footprint in bytes.
     pub fn footprint_bytes(&self) -> u64 {
         self.instrs.len() as u64 * INSTR_BYTES

@@ -53,7 +53,7 @@ use fdip_harness::remote::{
 use fdip_obs::clock::Timer;
 use fdip_obs::log::{self, Level};
 use fdip_program::workload::Workload;
-use fdip_program::Program;
+use fdip_sim::PreparedProgram;
 use fdip_telemetry::{Json, SCHEMA_VERSION};
 
 use cache::Cache;
@@ -124,8 +124,9 @@ pub(crate) struct GridProgress {
     pub(crate) cache_hits: u64,
 }
 
-/// One built workload: parameters, shared program image, content hash.
-pub(crate) type BuiltWorkload = (Workload, Arc<Program>, u64);
+/// One built workload: parameters, the program with the warm-up input
+/// its cells share, content hash.
+pub(crate) type BuiltWorkload = (Workload, Arc<PreparedProgram>, u64);
 
 /// Everything a connection or pool-job thread needs, behind one `Arc`.
 pub(crate) struct Shared {

@@ -9,8 +9,10 @@
 //!   daemon's [`fdip_exec::CellTable`], so this grid waits on that
 //!   simulation instead of duplicating it;
 //! * **simulated** — this grid owns the key: the cell runs through the
-//!   same [`fdip_sim::run_workload_job`] the local `Runner` uses, the
-//!   result is committed to the cache, and `cell_done` is journaled.
+//!   same [`fdip_sim::run_workload_job`] the local `Runner` uses, on the
+//!   workload's shared [`fdip_sim::PreparedProgram`] (its decode and
+//!   warm-up for the default `func_warmup` are built once per daemon),
+//!   the result is committed to the cache, and `cell_done` is journaled.
 //!
 //! The response is assembled *from the cache files*, never from
 //! in-memory results — so a fresh run, a 100%-hit replay, and a
@@ -28,7 +30,7 @@ use fdip_harness::remote::{
 };
 use fdip_obs::log;
 use fdip_obs::span::{SpanRecorder, Track};
-use fdip_sim::{run_workload_job, CoreConfig};
+use fdip_sim::{run_workload_job, CoreConfig, PreparedProgram};
 use fdip_telemetry::{Json, ToJson, SCHEMA_VERSION};
 
 use crate::http::ServeError;
@@ -327,7 +329,9 @@ fn admit(shared: &Shared, resumed: bool) -> Result<(), ServeError> {
 }
 
 /// Builds (once, lazily) the named suite's programs, with per-workload
-/// content hashes.
+/// content hashes. Each program's prepared warm-up is built later, by
+/// the first cell that simulates it, and kept here for the daemon's
+/// lifetime.
 fn suite_programs(shared: &Shared, suite: &str) -> Arc<Vec<BuiltWorkload>> {
     let mut suites = shared.suites.lock().expect("suite lock");
     if let Some(s) = suites.get(suite) {
@@ -341,7 +345,7 @@ fn suite_programs(shared: &Shared, suite: &str) -> Arc<Vec<BuiltWorkload>> {
         .into_iter()
         .map(|w| {
             let h = workload_hash(&w);
-            let p = Arc::new(w.build());
+            let p = Arc::new(PreparedProgram::new(Arc::new(w.build())));
             (w, p, h)
         })
         .collect();
@@ -442,7 +446,7 @@ fn run_owned(
             shared.telemetry.on_cell_sim_flight(1.0);
             let sim_start = recorder.as_ref().map(|r| r.now_us());
             let sim_timer = fdip_obs::clock::Timer::start();
-            let (stats, dists) = run_workload_job(cfg.clone(), program, warmup, measure);
+            let (stats, dists) = run_workload_job(cfg.clone(), &program, warmup, measure);
             let sim_micros = sim_timer.elapsed_micros();
             if let Some(r) = &recorder {
                 r.slice(

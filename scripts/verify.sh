@@ -176,6 +176,25 @@ test -s "$tmp/bench.json"
 grep -q '"instrs_per_sec"' "$tmp/bench.json"
 echo "    bench document written"
 
+echo "==> benchmark correctness: perfbench matches its reference digests"
+# One short untraced run of each repository benchmark workload
+# (perfbench/README.md) must print "correct":true: every cell's
+# statistics and every experiment report reproduce the committed
+# perfbench/reference.tsv digests, with no failed cell. fdp_cell pins
+# the one-off Simulator::new path, paper_sweep the Runner path whose
+# cells share each workload's prepared warm-up.
+for w in fdp_cell paper_sweep; do
+  status=0
+  cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$w" --seconds 1 --trace 0 > "$tmp/perfbench-$w.txt" 2>&1 || status=$?
+  if [ "$status" -ne 0 ] || ! grep -q '"correct":true' "$tmp/perfbench-$w.txt"; then
+    tail -n 20 "$tmp/perfbench-$w.txt" >&2
+    echo "perfbench $w is not correct against perfbench/reference.tsv (exit $status)" >&2
+    exit 1
+  fi
+done
+echo "    fdp_cell and paper_sweep reproduce perfbench/reference.tsv"
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
