@@ -1,12 +1,11 @@
 //! A tolerant recursive-descent structure parser over the token stream
 //! from [`crate::lexer`], producing the lightweight tree the syntax-aware
-//! passes (`hot-alloc`, `lock-discipline`, `result-drop`, and the rebuilt
-//! `panic-audit` index note) walk.
+//! passes (`hot-alloc`, `lock-discipline`) walk.
 //!
 //! This is deliberately not a full Rust grammar. The tree models exactly
 //! the structure the passes need — items and `fn` bodies, block / loop /
 //! match / closure nesting, call, method-call and macro-call expressions,
-//! `let` bindings, and index expressions — and treats everything else
+//! and `let` bindings — and treats everything else
 //! (types, operators, patterns) as trivia. Three properties are load
 //! bearing and checked by `tests/parser_roundtrip.rs` over every `.rs`
 //! file in the workspace:
@@ -59,13 +58,10 @@ pub enum Recv {
 pub enum NodeKind {
     /// The file root; parent of all items.
     Root,
-    /// A `fn` item (free, inherent, or trait). `returns_result` is true
-    /// when the declared return type mentions `Result`.
+    /// A `fn` item (free, inherent, or trait).
     Fn {
         /// The function's name.
         name: String,
-        /// Whether the signature's return type mentions `Result`.
-        returns_result: bool,
     },
     /// A closure. The node spans the parameter list; a braced body is a
     /// child [`NodeKind::Block`], while an expression body's nodes stay
@@ -90,10 +86,6 @@ pub enum NodeKind {
         /// `Some(name)` for `let name = ..;` (the name is `_` for
         /// `let _ = ..;`, empty for destructuring patterns).
         let_name: Option<String>,
-        /// True when the statement is a plain expression statement
-        /// terminated by `;` with no `let`/assignment/`return` — i.e.
-        /// its value is discarded.
-        discard_eligible: bool,
     },
     /// A path call: `foo(..)`, `Vec::new(..)`, `mpsc::channel(..)`.
     Call {
@@ -112,9 +104,6 @@ pub enum NodeKind {
         /// The macro name, without the `!`.
         name: String,
     },
-    /// An index expression `expr[..]` (only when the `[` follows a
-    /// primary expression, so array literals and attributes don't count).
-    Index,
 }
 
 /// One node of the structure tree. Spans are inclusive indices into
@@ -511,27 +500,14 @@ impl<'a> Parser<'a> {
             }
             _ => String::new(),
         };
-        // Signature: scan to the body `{` or a `;` (trait method decl),
-        // noting whether the return type mentions `Result`.
+        // Signature: scan to the body `{` or a `;` (trait method decl).
         let mut depth = 0u32;
-        let mut in_ret = false;
-        let mut seen_where = false;
-        let mut returns_result = false;
         let mut has_body = false;
         while let Some(t) = self.cur() {
-            match t.kind {
-                TokKind::Punct => match t.text.as_str() {
+            if t.kind == TokKind::Punct {
+                match t.text.as_str() {
                     "(" | "[" => depth += 1,
                     ")" | "]" => depth = depth.saturating_sub(1),
-                    // The return-type arrow; `Fn() -> T` bound arrows in
-                    // a where clause must not re-arm the detection.
-                    "-" if depth == 0
-                        && !seen_where
-                        && self.glued(self.pos)
-                        && self.peek(1).is_some_and(|n| n.is_punct('>')) =>
-                    {
-                        in_ret = true;
-                    }
                     ";" if depth == 0 => {
                         self.bump();
                         break;
@@ -541,23 +517,11 @@ impl<'a> Parser<'a> {
                         break;
                     }
                     _ => {}
-                },
-                TokKind::Ident => {
-                    if t.text == "where" {
-                        in_ret = false;
-                        seen_where = true;
-                    } else if in_ret && t.text == "Result" {
-                        returns_result = true;
-                    }
                 }
-                _ => {}
             }
             self.bump();
         }
-        let id = self.open(NodeKind::Fn {
-            name,
-            returns_result,
-        });
+        let id = self.open(NodeKind::Fn { name });
         self.nodes[id].first = start;
         if has_body {
             self.block();
@@ -613,10 +577,7 @@ impl<'a> Parser<'a> {
         // statement; an optional trailing `;` is consumed.
         match first.as_str() {
             "if" | "match" | "while" | "for" | "loop" | "unsafe" | "{" => {
-                let id = self.open(NodeKind::Stmt {
-                    let_name: None,
-                    discard_eligible: false,
-                });
+                let id = self.open(NodeKind::Stmt { let_name: None });
                 self.construct();
                 if self.at_punct(';') {
                     self.bump();
@@ -632,30 +593,16 @@ impl<'a> Parser<'a> {
             }
             _ => {}
         }
-        let eligible_start = !matches!(first.as_str(), "return" | "break" | "continue" | "yield");
-        let id = self.open(NodeKind::Stmt {
-            let_name: None,
-            discard_eligible: false,
-        });
-        let saw_assign = self.expr_until(Stop::Semi);
-        let ends_semi = self.at_punct(';');
-        if ends_semi {
+        let id = self.open(NodeKind::Stmt { let_name: None });
+        self.expr_until(Stop::Semi);
+        if self.at_punct(';') {
             self.bump();
-        }
-        if let NodeKind::Stmt {
-            discard_eligible, ..
-        } = &mut self.nodes[id].kind
-        {
-            *discard_eligible = eligible_start && !saw_assign && ends_semi;
         }
         self.close(id);
     }
 
     fn let_stmt(&mut self) {
-        let id = self.open(NodeKind::Stmt {
-            let_name: None,
-            discard_eligible: false,
-        });
+        let id = self.open(NodeKind::Stmt { let_name: None });
         self.bump(); // `let`
         if self.at_ident("mut") {
             self.bump();
@@ -708,50 +655,23 @@ impl<'a> Parser<'a> {
 
     /// Is the `=` at the cursor a plain assignment/binding `=` — not one
     /// half of `==`, `=>`, `<=`, `>=`, `!=`, or a compound `+=`-style
-    /// operator?
+    /// operator? The lexer emits single-char puncts, so multi-char
+    /// operators are recovered from glued adjacency.
     fn is_plain_assign(&self) -> bool {
-        matches!(self.eq_kind(), EqKind::Plain)
-    }
-
-    /// Classifies the `=` at the cursor (see [`EqKind`]). The lexer
-    /// emits single-char puncts, so multi-char operators are recovered
-    /// from glued adjacency.
-    fn eq_kind(&self) -> EqKind {
-        // Next glued half: `==` or `=>`.
-        if self.glued(self.pos) {
-            if let Some(n) = self.peek(1) {
-                if n.is_punct('=') || n.is_punct('>') {
-                    return EqKind::Comparison;
-                }
-            }
-        }
-        // Previous glued half.
-        if self.pos > 0 && self.glued(self.pos - 1) {
-            if let Some(p) = self.tok_at(self.pos - 1) {
-                if p.kind == TokKind::Punct {
-                    match p.text.as_str() {
-                        // `+= -= *= /= %= &= |= ^=`
-                        "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^" => {
-                            return EqKind::Compound;
-                        }
-                        "!" | "=" => return EqKind::Comparison,
-                        // `<=` / `>=` vs the shift-assigns `<<=` / `>>=`.
-                        "<" | ">" => {
-                            let double = self.pos >= 2
-                                && self.glued(self.pos - 2)
-                                && self.tok_at(self.pos - 2).is_some_and(|q| q.text == p.text);
-                            return if double {
-                                EqKind::Compound
-                            } else {
-                                EqKind::Comparison
-                            };
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-        EqKind::Plain
+        let glued_after = self.glued(self.pos)
+            && self
+                .peek(1)
+                .is_some_and(|n| n.is_punct('=') || n.is_punct('>'));
+        let glued_before = self.pos > 0
+            && self.glued(self.pos - 1)
+            && self.tok_at(self.pos - 1).is_some_and(|p| {
+                p.kind == TokKind::Punct
+                    && matches!(
+                        p.text.as_str(),
+                        "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^" | "!" | "=" | "<" | ">"
+                    )
+            });
+        !glued_after && !glued_before
     }
 
     /// Keyword-introduced constructs usable in both statement and
@@ -874,34 +794,32 @@ impl<'a> Parser<'a> {
     // ---------------------------------------------------------------
 
     /// Scans expression tokens until the stop condition, creating nodes
-    /// for the constructs the passes need. Returns whether a top-level
-    /// plain assignment `=` was seen (for discard eligibility).
-    fn expr_until(&mut self, stop: Stop) -> bool {
+    /// for the constructs the passes need.
+    fn expr_until(&mut self, stop: Stop) {
         let mut depth_paren = 0u32;
         let mut depth_brack = 0u32;
-        let mut saw_assign = false;
         while let Some(t) = self.cur() {
             let depth0 = depth_paren == 0 && depth_brack == 0;
             match t.kind {
                 TokKind::Punct => match t.text.as_str() {
                     // In bracketed contexts (`Stop::None`: call args,
-                    // index/macro bodies) a top-level `;` is the array
+                    // macro bodies) a top-level `;` is the array
                     // repeat separator (`[x; n]`, `vec![x; n]`) — scan
                     // past it to the real closer.
-                    ";" if depth0 && stop != Stop::None => return saw_assign,
-                    "}" if depth0 => return saw_assign,
-                    "," if depth0 && stop == Stop::Comma => return saw_assign,
-                    "{" if depth0 && stop == Stop::Brace => return saw_assign,
+                    ";" if depth0 && stop != Stop::None => return,
+                    "}" if depth0 => return,
+                    "," if depth0 && stop == Stop::Comma => return,
+                    "{" if depth0 && stop == Stop::Brace => return,
                     ")" => {
                         if depth_paren == 0 {
-                            return saw_assign; // closes the enclosing context
+                            return; // closes the enclosing context
                         }
                         depth_paren -= 1;
                         self.bump();
                     }
                     "]" => {
                         if depth_brack == 0 {
-                            return saw_assign;
+                            return;
                         }
                         depth_brack -= 1;
                         self.bump();
@@ -911,18 +829,8 @@ impl<'a> Parser<'a> {
                         self.bump();
                     }
                     "[" => {
-                        if self.follows_primary() {
-                            let id = self.open(NodeKind::Index);
-                            self.bump();
-                            self.expr_until(Stop::None);
-                            if self.at_punct(']') {
-                                self.bump();
-                            }
-                            self.close(id);
-                        } else {
-                            depth_brack += 1;
-                            self.bump();
-                        }
+                        depth_brack += 1;
+                        self.bump();
                     }
                     "{" => {
                         // A block in expression position (closure body,
@@ -932,15 +840,6 @@ impl<'a> Parser<'a> {
                     "." => self.dot(),
                     "|" => self.pipe(),
                     "#" => self.attribute(),
-                    "=" if depth0
-                        && stop != Stop::Brace
-                        && self.eq_kind() != EqKind::Comparison =>
-                    {
-                        // Plain or compound assignment: the statement's
-                        // value is `()`, not a discarded expression.
-                        saw_assign = true;
-                        self.bump();
-                    }
                     _ => self.bump(),
                 },
                 TokKind::Ident => match t.text.as_str() {
@@ -953,11 +852,10 @@ impl<'a> Parser<'a> {
                 _ => self.bump(),
             }
         }
-        saw_assign
     }
 
     /// Does the token before the cursor end a primary expression (so a
-    /// following `[` is an index, not an array literal)?
+    /// following `|` is the binary operator, not a closure)?
     fn follows_primary(&self) -> bool {
         let Some(p) = self.pos.checked_sub(1).and_then(|i| self.tok_at(i)) else {
             return false;
@@ -1195,18 +1093,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// What role an `=` punct plays (recovered from glued adjacency since
-/// the lexer emits single-char puncts).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum EqKind {
-    /// A bare assignment or `let` binding `=`.
-    Plain,
-    /// A compound assignment: `+=`, `<<=`, …
-    Compound,
-    /// Half of `==`, `!=`, `<=`, `>=`, or `=>` — not an assignment.
-    Comparison,
-}
-
 /// Where [`Parser::expr_until`] stops (besides the always-on `;` and `}`
 /// at depth 0).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -1250,14 +1136,6 @@ mod tests {
             })
             .collect();
         assert_eq!(fns, ["alpha", "beta"]);
-        let results: Vec<bool> = find(&ast, |k| matches!(k, NodeKind::Fn { .. }))
-            .iter()
-            .map(|n| match &n.kind {
-                NodeKind::Fn { returns_result, .. } => *returns_result,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(results, [false, true]);
     }
 
     #[test]
@@ -1314,36 +1192,25 @@ mod tests {
     }
 
     #[test]
-    fn index_only_after_primary() {
-        let (_, ast) = parsed("fn f(v: &[u8], i: usize) -> u8 { let a = [1, 2]; a[i] + v[0] }");
-        let idx = find(&ast, |k| matches!(k, NodeKind::Index));
-        assert_eq!(idx.len(), 2);
-    }
-
-    #[test]
-    fn let_names_and_discard_flags() {
+    fn let_names() {
         let (_, ast) = parsed(
-            "fn f() { let x = g(); let _ = h(); let (a, b) = pair(); k(); x = m(); return n(); }",
+            "fn f() { let x = g(); let _ = h(); let (a, b) = pair(); let y: Vec<u8>= v; k(); }",
         );
-        let stmts: Vec<(Option<String>, bool)> = find(&ast, |k| matches!(k, NodeKind::Stmt { .. }))
+        let stmts: Vec<Option<String>> = find(&ast, |k| matches!(k, NodeKind::Stmt { .. }))
             .iter()
             .map(|n| match &n.kind {
-                NodeKind::Stmt {
-                    let_name,
-                    discard_eligible,
-                } => (let_name.clone(), *discard_eligible),
+                NodeKind::Stmt { let_name } => let_name.clone(),
                 _ => unreachable!(),
             })
             .collect();
         assert_eq!(
             stmts,
             [
-                (Some("x".to_string()), false),
-                (Some("_".to_string()), false),
-                (Some(String::new()), false),
-                (None, true),  // k();
-                (None, false), // x = m();
-                (None, false), // return n();
+                Some("x".to_string()),
+                Some("_".to_string()),
+                Some(String::new()),
+                Some("y".to_string()),
+                None, // k();
             ]
         );
     }

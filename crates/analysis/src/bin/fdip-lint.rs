@@ -2,11 +2,11 @@
 //!
 //! ```text
 //! fdip-lint [--root <dir>] [--allowlist <path>] [--json <path>]
-//!           [--deny] [--notes] [--list-passes] [--inject <pass>]
+//!           [--deny] [--list-passes] [--inject <pass>]
 //! ```
 //!
-//! Prints one `file:line:col: [pass] severity: message` line per finding
-//! (notes only with `--notes`), a summary, and optionally the versioned
+//! Prints one `file:line:col: [pass] severity: message` line per finding,
+//! a summary, and optionally the versioned
 //! `lint.json` document (Document 5 of `docs/METRICS.md`). With
 //! `--deny`, exits non-zero when any error/warn finding lacks an
 //! allowlist justification — the `scripts/verify.sh` gate.
@@ -28,7 +28,6 @@ struct Args {
     allowlist: Option<PathBuf>,
     json: Option<PathBuf>,
     deny: bool,
-    notes: bool,
     list_passes: bool,
     inject: Option<String>,
 }
@@ -39,7 +38,6 @@ fn parse_args() -> Result<Args, String> {
         allowlist: None,
         json: None,
         deny: false,
-        notes: false,
         list_passes: false,
         inject: None,
     };
@@ -52,13 +50,12 @@ fn parse_args() -> Result<Args, String> {
             }
             "--json" => args.json = Some(PathBuf::from(it.next().ok_or("--json needs a path")?)),
             "--deny" => args.deny = true,
-            "--notes" => args.notes = true,
             "--list-passes" => args.list_passes = true,
             "--inject" => args.inject = Some(it.next().ok_or("--inject needs a pass id")?),
             "--help" | "-h" => {
                 println!(
                     "usage: fdip-lint [--root <dir>] [--allowlist <path>] [--json <path>] \
-                     [--deny] [--notes] [--list-passes] [--inject <pass>]"
+                     [--deny] [--list-passes] [--inject <pass>]"
                 );
                 std::process::exit(0);
             }
@@ -112,18 +109,14 @@ fn main() -> ExitCode {
         }
     };
     for f in &outcome.findings {
-        if f.severity == Severity::Note && !args.notes {
-            continue;
-        }
         println!("{}", f.render());
     }
     let denied = outcome.denied().count();
     println!(
-        "fdip-lint: {} files, {} errors, {} warnings, {} notes, {} allowlisted, {} denied",
+        "fdip-lint: {} files, {} errors, {} warnings, {} allowlisted, {} denied",
         outcome.files_scanned,
         outcome.count(Severity::Error),
         outcome.count(Severity::Warn),
-        outcome.count(Severity::Note),
         outcome.allowlisted(),
         denied
     );

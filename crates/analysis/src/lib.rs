@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! `fdip-analysis` — the workspace's own static-analysis harness
 //! (`fdip-lint`), in the repo's no-external-deps style.
@@ -14,12 +13,14 @@
 //! |---|---|
 //! | `determinism` | no wall-clock reads, hash-order iteration, thread ids, or un-seeded randomness in result-affecting crates |
 //! | `atomics` | no `Ordering::Relaxed` on executor/daemon/telemetry atomics without justification |
-//! | `panic-audit` | no `unwrap`/`expect`/`panic!` in the hot-path modules |
-//! | `unsafe-forbid` | the workspace stays `unsafe`-free |
 //! | `schema-drift` | every emitted JSON key is documented in `docs/METRICS.md` (serve/wire code may document keys in `docs/SERVE.md`) |
 //! | `hot-alloc` | no heap allocation reachable inside loops in the hot-path modules |
 //! | `lock-discipline` | Condvar waits re-checked in loops, no guard across blocking calls, one lock order |
-//! | `result-drop` | no silently discarded `Result`s in non-test code |
+//!
+//! What the compiler can check is left to it: `unsafe`, discarded
+//! `Result`s and hot-path panics are rustc/clippy lints (the root
+//! `Cargo.toml`'s `[workspace.lints]` and each hot-path module's
+//! header), not passes here.
 //!
 //! The architecture is a hand-rolled lexer ([`lexer`]) — comments,
 //! strings, char-vs-lifetime, idents — a tolerant recursive-descent
@@ -163,9 +164,6 @@ pub fn lint_workspace_with(
 /// no longer tracks reality and must be pruned before `--deny` passes.
 pub fn apply_allowlist(findings: &mut Vec<Finding>, allowlist: &mut Allowlist) {
     for f in findings.iter_mut() {
-        if f.severity < Severity::Warn {
-            continue;
-        }
         if let Some(entry) = allowlist.claim(f.pass, &f.file, &f.needle) {
             if !entry.justification.is_empty() {
                 f.justification = Some(entry.justification.clone());
@@ -219,7 +217,7 @@ mod tests {
             Finding {
                 pass: "determinism",
                 kind: "wall-clock",
-                file: "crates/harness/src/bench.rs".into(),
+                file: "crates/harness/src/runner.rs".into(),
                 line: 5,
                 col: 1,
                 severity: Severity::Error,
@@ -240,7 +238,7 @@ mod tests {
             },
         ];
         let mut al = Allowlist::parse(
-            "determinism | crates/harness/src/bench.rs | Instant | timing telemetry\n\
+            "determinism | crates/harness/src/runner.rs | Instant | timing telemetry\n\
              determinism | crates/mem/src/cache.rs | HashSet | gone since PR 3\n\
              atomics | crates/exec/src/lib.rs | Ordering::Relaxed |\n",
         )
@@ -264,28 +262,5 @@ mod tests {
             "missing-justification",
             Severity::Error
         )));
-    }
-
-    #[test]
-    fn notes_are_never_allowlist_matched() {
-        let mut findings = vec![Finding {
-            pass: "panic-audit",
-            kind: "index-in-loop",
-            file: "crates/core/src/sim.rs".into(),
-            line: 1,
-            col: 1,
-            severity: Severity::Note,
-            needle: "index".into(),
-            message: "advisory".into(),
-            justification: None,
-        }];
-        let mut al =
-            Allowlist::parse("panic-audit | crates/core/src/sim.rs | index | why\n").unwrap();
-        apply_allowlist(&mut findings, &mut al);
-        assert!(findings[0].justification.is_none());
-        // The entry is therefore stale — and stale is a hard error.
-        let meta = findings.iter().find(|f| f.pass == "allowlist").unwrap();
-        assert_eq!(meta.kind, "stale-entry");
-        assert_eq!(meta.severity, Severity::Error);
     }
 }

@@ -37,16 +37,6 @@ pub const MUTATIONS: &[Mutation] = &[
                   f.store(true, std::sync::atomic::Ordering::Relaxed);\n}\n",
     },
     Mutation {
-        pass: "panic-audit",
-        file: "crates/core/src/sim.rs",
-        snippet: "fn __lint_mutation_panic(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n",
-    },
-    Mutation {
-        pass: "unsafe-forbid",
-        file: "crates/core/src/sim.rs",
-        snippet: "fn __lint_mutation_unsafe(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n",
-    },
-    Mutation {
         pass: "schema-drift",
         file: "crates/core/src/stats.rs",
         snippet: "fn __lint_mutation_schema() {\n    \
@@ -67,12 +57,6 @@ pub const MUTATIONS: &[Mutation] = &[
         snippet: "fn __lint_mutation_lock(m: &std::sync::Mutex<bool>, cv: &std::sync::Condvar) {\n    \
                   let started = m.lock().expect(\"lock\");\n    \
                   let _woken = cv.wait(started);\n}\n",
-    },
-    Mutation {
-        pass: "result-drop",
-        file: "crates/serve/src/lib.rs",
-        snippet: "fn __lint_mutation_result_drop(tx: &std::sync::mpsc::Sender<u8>) {\n    \
-                  let _ = tx.send(7);\n}\n",
     },
 ];
 

@@ -1,27 +1,25 @@
-//! The pass registry: eight named passes over lexed + parsed sources.
+//! The pass registry: five named passes over lexed + parsed sources.
 //!
 //! Each pass is a pure function from one source file (token stream,
 //! syntax tree, and scope tables) to findings; scoping (which files a
 //! pass examines) lives in the pass itself so the driver stays a dumb
-//! loop. All passes skip `#[cfg(test)]` / `#[test]` regions except
-//! `unsafe-forbid`, which covers test code too — an `unsafe` block is a
-//! soundness question no matter where it sits.
+//! loop. All passes skip `#[cfg(test)]` / `#[test]` regions.
 //!
-//! The token-level passes (`determinism`, `atomics`, `unsafe-forbid`,
-//! `schema-drift`) scan the stream directly; the syntax-aware passes
-//! (`panic-audit`'s index note, `hot-alloc`, `lock-discipline`,
-//! `result-drop`) walk the [`crate::ast`] tree with
+//! The token-level passes (`determinism`, `atomics`, `schema-drift`)
+//! scan the stream directly; the syntax-aware passes (`hot-alloc`,
+//! `lock-discipline`) walk the [`crate::ast`] tree with
 //! [`crate::scope::ScopeInfo`] answering "inside a loop?" /
 //! "which fn?" / "guard live?" questions.
+//!
+//! Checks the compiler can make are not passes here: `unsafe`, hot-path
+//! panics and discarded `Result`s are rustc/clippy lints declared in the
+//! root `Cargo.toml` and in each [`HOT_PATH_FILES`] module's header.
 
 mod atomics;
 mod determinism;
 mod hot_alloc;
 mod lock_discipline;
-mod panic_audit;
-mod result_drop;
 mod schema_drift;
-mod unsafe_forbid;
 
 use crate::ast::{self, Ast};
 use crate::lexer::{self, TokKind, Token};
@@ -92,18 +90,6 @@ pub fn registry() -> Vec<Pass> {
             run: atomics::run,
         },
         Pass {
-            id: "panic-audit",
-            description: "flags unwrap/expect/panic! and indexing-in-loop in the hot-path \
-                          modules",
-            run: panic_audit::run,
-        },
-        Pass {
-            id: "unsafe-forbid",
-            description: "locks in the zero-unsafe invariant: any `unsafe` needs a SAFETY \
-                          comment and an allowlist entry",
-            run: unsafe_forbid::run,
-        },
-        Pass {
             id: "schema-drift",
             description: "cross-checks emitted JSON keys against docs/METRICS.md",
             run: schema_drift::run,
@@ -119,12 +105,6 @@ pub fn registry() -> Vec<Pass> {
             description: "checks Condvar waits are loop-re-checked, no lock guard is held \
                           across blocking calls, and mutex acquisition order is consistent",
             run: lock_discipline::run,
-        },
-        Pass {
-            id: "result-drop",
-            description: "flags semicolon-discarded or `let _ =`-bound Result-returning \
-                          calls in non-test code",
-            run: result_drop::run,
         },
     ]
 }
@@ -160,26 +140,6 @@ pub const KINDS: &[(&str, &str, &str)] = &[
         "Ordering::Relaxed on a cross-thread atomic",
     ),
     (
-        "panic-audit",
-        "panic-site",
-        "unwrap/expect/panic!-family call on the hot path",
-    ),
-    (
-        "panic-audit",
-        "index-in-loop",
-        "bounds-checked indexing inside a loop (advisory)",
-    ),
-    (
-        "unsafe-forbid",
-        "unsafe-block",
-        "unsafe with a SAFETY comment but no allowlist entry",
-    ),
-    (
-        "unsafe-forbid",
-        "unsafe-missing-safety-comment",
-        "unsafe without an immediately preceding SAFETY comment",
-    ),
-    (
         "schema-drift",
         "undocumented-key",
         "emitted JSON key absent from the schema docs",
@@ -208,16 +168,6 @@ pub const KINDS: &[(&str, &str, &str)] = &[
         "lock-discipline",
         "lock-order-inversion",
         "two mutexes acquired in both orders within one file",
-    ),
-    (
-        "result-drop",
-        "discarded-result",
-        "Result-returning call discarded with a bare semicolon",
-    ),
-    (
-        "result-drop",
-        "underscore-bound-result",
-        "Result-returning call bound to `let _ =`",
     ),
     (
         "allowlist",
@@ -262,10 +212,12 @@ pub(crate) fn uses_serve_doc(path: &str) -> bool {
     path.starts_with("crates/serve/src/") || path == "crates/harness/src/remote.rs"
 }
 
-/// Hot-path modules where a panic, a missed bound, or a heap
-/// allocation costs correctness or throughput on every simulated
-/// cycle. `hot-alloc` additionally covers all of `crates/bpred/src/`.
-pub(crate) const HOT_PATH_FILES: &[&str] = &[
+/// Hot-path modules where a panic or a heap allocation costs
+/// correctness or throughput on every simulated cycle. `hot-alloc`
+/// covers them (and all of `crates/bpred/src/`); each one's header
+/// denies clippy's panicking-call lints outside tests, which
+/// `tests/workspace_clean.rs` checks.
+pub const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/sim.rs",
     "crates/core/src/meta.rs",
     "crates/core/src/probe.rs",
@@ -356,19 +308,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_has_the_eight_documented_passes() {
+    fn registry_has_the_five_documented_passes() {
         let ids: Vec<&str> = registry().iter().map(|p| p.id).collect();
         assert_eq!(
             ids,
             [
                 "determinism",
                 "atomics",
-                "panic-audit",
-                "unsafe-forbid",
                 "schema-drift",
                 "hot-alloc",
-                "lock-discipline",
-                "result-drop"
+                "lock-discipline"
             ]
         );
     }

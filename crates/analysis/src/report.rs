@@ -7,19 +7,14 @@ use fdip_telemetry::Json;
 /// `docs/METRICS.md`). Independent of the workspace-wide
 /// `fdip_telemetry::SCHEMA_VERSION`: bumped when the lint document's
 /// shape changes. v2 added per-finding diagnostic `kind`s and made
-/// stale allowlist entries hard errors.
-pub const LINT_SCHEMA_VERSION: u64 = 2;
+/// stale allowlist entries hard errors; v3 dropped the advisory `note`
+/// severity and the summary's `notes` count.
+pub const LINT_SCHEMA_VERSION: u64 = 3;
 
-/// How serious a finding is.
-///
-/// `Error` and `Warn` findings deny (non-zero exit under `--deny`)
-/// unless allowlisted; `Note` findings are advisory and never deny —
-/// they mark idioms worth a look (e.g. bounds-checked indexing in a hot
-/// loop) that the workspace deliberately uses.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// How serious a finding is. Both severities deny (non-zero exit under
+/// `--deny`) unless allowlisted.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Severity {
-    /// Advisory only; never denies.
-    Note,
     /// Denies unless allowlisted.
     Warn,
     /// Denies unless allowlisted.
@@ -27,10 +22,9 @@ pub enum Severity {
 }
 
 impl Severity {
-    /// Lowercase display name (`error`, `warn`, `note`).
+    /// Lowercase display name (`error`, `warn`).
     pub fn name(self) -> &'static str {
         match self {
-            Severity::Note => "note",
             Severity::Warn => "warn",
             Severity::Error => "error",
         }
@@ -64,10 +58,10 @@ pub struct Finding {
 }
 
 impl Finding {
-    /// Does this finding fail a `--deny` run? (Error/Warn, not covered
-    /// by an allowlist entry.)
+    /// Does this finding fail a `--deny` run? (Not covered by an
+    /// allowlist entry.)
     pub fn denies(&self) -> bool {
-        self.severity >= Severity::Warn && self.justification.is_none()
+        self.justification.is_none()
     }
 
     /// Stable single-line rendering: `file:line:col: [pass] severity: message`.
@@ -169,7 +163,6 @@ impl LintOutcome {
                         Json::obj()
                             .with("errors", self.count(Severity::Error))
                             .with("warnings", self.count(Severity::Warn))
-                            .with("notes", self.count(Severity::Note))
                             .with("allowlisted", self.allowlisted())
                             .with("denied", self.denied().count()),
                     ),
@@ -207,19 +200,19 @@ mod tests {
                     justification: Some("frozen before iteration".into()),
                 },
                 Finding {
-                    pass: "panic-audit",
-                    kind: "index-in-loop",
+                    pass: "hot-alloc",
+                    kind: "alloc-in-loop",
                     file: "crates/x/src/b.rs".into(),
                     line: 1,
                     col: 2,
-                    severity: Severity::Note,
-                    needle: "index".into(),
-                    message: "indexing in loop".into(),
+                    severity: Severity::Warn,
+                    needle: "vec!".into(),
+                    message: "allocation in loop".into(),
                     justification: None,
                 },
             ],
             files_scanned: 2,
-            pass_ids: vec!["determinism", "panic-audit"],
+            pass_ids: vec!["determinism", "hot-alloc"],
         }
     }
 
@@ -227,9 +220,9 @@ mod tests {
     fn deny_semantics_follow_severity_and_allowlisting() {
         let o = sample();
         let denied: Vec<&str> = o.denied().map(|f| f.needle.as_str()).collect();
-        assert_eq!(denied, ["Instant"]);
+        assert_eq!(denied, ["Instant", "vec!"]);
         assert_eq!(o.count(Severity::Error), 2);
-        assert_eq!(o.count(Severity::Note), 1);
+        assert_eq!(o.count(Severity::Warn), 1);
         assert_eq!(o.allowlisted(), 1);
     }
 
@@ -254,7 +247,7 @@ mod tests {
             j.get("schema_version").and_then(Json::as_u64),
             Some(LINT_SCHEMA_VERSION)
         );
-        const _: () = assert!(LINT_SCHEMA_VERSION >= 2, "v2 added diagnostic kinds");
+        const _: () = assert!(LINT_SCHEMA_VERSION >= 3, "v3 dropped notes");
         let lint = j.get("lint").expect("lint block");
         assert_eq!(lint.get("files_scanned").and_then(Json::as_u64), Some(2));
         let passes = lint.get("passes").and_then(Json::as_arr).unwrap();
@@ -263,7 +256,8 @@ mod tests {
         assert_eq!(passes[0].get("denied").and_then(Json::as_u64), Some(1));
         assert_eq!(passes[0].get("allowed").and_then(Json::as_u64), Some(1));
         let summary = lint.get("summary").expect("summary");
-        assert_eq!(summary.get("denied").and_then(Json::as_u64), Some(1));
+        assert_eq!(summary.get("denied").and_then(Json::as_u64), Some(2));
+        assert!(summary.get("notes").is_none());
         assert_eq!(summary.get("allowlisted").and_then(Json::as_u64), Some(1));
         let findings = lint.get("findings").and_then(Json::as_arr).unwrap();
         assert_eq!(findings.len(), 3);

@@ -34,7 +34,7 @@ fn workspace_is_lint_clean_under_deny() {
 }
 
 #[test]
-fn all_eight_passes_are_registered() {
+fn all_five_passes_are_registered() {
     let ids: Vec<&str> = fdip_analysis::passes::registry()
         .iter()
         .map(|p| p.id)
@@ -44,14 +44,94 @@ fn all_eight_passes_are_registered() {
         vec![
             "determinism",
             "atomics",
-            "panic-audit",
-            "unsafe-forbid",
             "schema-drift",
             "hot-alloc",
-            "lock-discipline",
-            "result-drop"
+            "lock-discipline"
         ]
     );
+}
+
+/// The `key = value` lines of the `[header]` table in a Cargo manifest,
+/// or `None` when the manifest has no such table.
+fn toml_table(manifest: &str, header: &str) -> Option<Vec<(String, String)>> {
+    let mut lines = manifest.lines().map(str::trim);
+    lines.find(|l| *l == header)?;
+    Some(
+        lines
+            .take_while(|l| !l.starts_with('['))
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+            .filter_map(|l| l.split_once('='))
+            .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
+            .collect(),
+    )
+}
+
+fn pairs(kv: &[(&str, &str)]) -> Vec<(String, String)> {
+    kv.iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect()
+}
+
+// The unsafe, discarded-Result and hot-path panic checks are compiler
+// lints. Each rests on an opt-in that a manifest or file edit can drop
+// silently, so the opt-ins themselves are checked here.
+
+#[test]
+fn workspace_lints_hold_the_compiler_enforced_checks() {
+    let root = workspace_root();
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+    assert_eq!(
+        toml_table(&manifest, "[workspace.lints.rust]"),
+        Some(pairs(&[
+            ("unsafe_code", "\"forbid\""),
+            ("unused_must_use", "\"deny\"")
+        ]))
+    );
+    assert_eq!(
+        toml_table(&manifest, "[workspace.lints.clippy]"),
+        Some(pairs(&[("let_underscore_must_use", "\"deny\"")]))
+    );
+}
+
+#[test]
+fn every_workspace_member_opts_into_the_workspace_lints() {
+    let root = workspace_root();
+    // The root package plus every `crates/*` and `vendor/*` member.
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for dir in ["crates", "vendor"] {
+        let mut members: Vec<PathBuf> = std::fs::read_dir(root.join(dir))
+            .expect("member dir")
+            .map(|e| e.expect("dir entry").path().join("Cargo.toml"))
+            .filter(|p| p.is_file())
+            .collect();
+        members.sort();
+        manifests.extend(members);
+    }
+    assert_eq!(manifests.len(), 19, "root + 15 crates + 3 vendor stand-ins");
+    for path in &manifests {
+        let manifest = std::fs::read_to_string(path).expect("member manifest");
+        assert_eq!(
+            toml_table(&manifest, "[lints]"),
+            Some(pairs(&[("workspace", "true")])),
+            "{} must opt into [workspace.lints]",
+            path.display()
+        );
+    }
+}
+
+#[test]
+fn hot_path_files_deny_panicking_calls_outside_tests() {
+    const HEADER: &str = "#![cfg_attr(not(test),deny(clippy::unwrap_used,clippy::expect_used,\
+                          clippy::panic,clippy::unreachable,clippy::todo,clippy::unimplemented))]";
+    let root = workspace_root();
+    for file in fdip_analysis::passes::HOT_PATH_FILES {
+        let text = std::fs::read_to_string(root.join(file)).expect("hot-path file");
+        let compact: String = text.split_whitespace().collect();
+        assert!(
+            compact.contains(HEADER),
+            "{file} must carry the clippy deny header for panicking calls"
+        );
+    }
 }
 
 #[test]
@@ -83,7 +163,7 @@ fn allowlist_round_trips_and_is_fully_used() {
     );
 
     // Linting marks every entry used — the apply pass reports stale
-    // entries as warnings, which the clean-tree test above would catch,
+    // entries as errors, which the clean-tree test above would catch,
     // but assert directly for a clearer failure.
     let mut allowlist = parsed;
     lint_workspace(&root, &mut allowlist).expect("workspace lints");

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! Branch-prediction substrate for the FDIP reproduction.
 //!

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! `fdip-sim` — the paper's contribution: a cycle-level decoupled-frontend
 //! core simulator with Fetch-Directed Prefetching, taken-only branch

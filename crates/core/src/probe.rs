@@ -12,6 +12,17 @@
 //!
 //! Memory is capped at construction: `capacity` slots of 16 bytes, no
 //! rehashing, no heap traffic after `new`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use fdip_types::Cycle;
 

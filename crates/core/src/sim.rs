@@ -10,6 +10,17 @@
 //! PFC all operate on real instruction bytes; an oracle window over the
 //! committed stream tags on-path work and supplies resolution outcomes
 //! (see `DESIGN.md` §4).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use crate::backend::{DataAddressGen, FetchedInstr, RobEntry, UnresolvedBranch};
 use crate::config::CoreConfig;

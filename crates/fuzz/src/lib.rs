@@ -21,7 +21,6 @@
 //! `replay` for saved cases, `corpus` for regenerating the committed
 //! corpus under `tests/corpus/`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod case;

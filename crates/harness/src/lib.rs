@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! Experiment harness: regenerates every table and figure of the paper's
 //! evaluation section on the synthetic workload suite.
@@ -23,14 +22,12 @@
 //!   available cores; `--jobs <n>` on the binaries overrides). Results
 //!   are identical for any value — only wall-clock changes.
 
-pub mod bench;
 pub mod experiments;
 pub mod remote;
 mod report;
 mod runner;
 mod suite;
 
-pub use bench::{BenchBaseline, BenchResult, BenchWorkload};
 pub use remote::RemoteClient;
 pub use report::{Report, Table};
 pub use runner::{geomean, Runner};

@@ -19,6 +19,7 @@ use fdip_bpred::{BtbConfig, GshareConfig, HistoryPolicy, IttageConfig, TageConfi
 use fdip_mem::{CacheConfig, HierarchyConfig};
 use fdip_prefetch::PrefetcherKind;
 use fdip_program::workload::Workload;
+use fdip_program::ProgramParams;
 use fdip_sim::{BackendConfig, CoreConfig, DirectionConfig, SimDists, SimStats};
 use fdip_telemetry::{Json, SCHEMA_VERSION};
 
@@ -59,11 +60,62 @@ pub fn config_hash(cfg: &CoreConfig) -> u64 {
     fnv1a64(config_to_json(cfg).to_string().as_bytes())
 }
 
-/// Content hash of a workload: FNV-1a over the `Debug` form of its
-/// generator parameters (which fully determine the program, including
-/// the seed).
+/// Content hash of a workload: FNV-1a over the canonical encoding of
+/// its generator parameters (which fully determine the program,
+/// including the seed): `fdip-workload-v1` followed by one
+/// `|name=value` per field in declaration order, integers in decimal,
+/// ranges as `lo-hi`, and each `f64` as the 16 hex digits of its IEEE
+/// 754 bits (`docs/SERVE.md`). The destructuring names every field, so
+/// a new one does not compile until the key covers it.
 pub fn workload_hash(w: &Workload) -> u64 {
-    fnv1a64(format!("{:?}", w.params).as_bytes())
+    let ProgramParams {
+        seed,
+        num_funcs,
+        blocks_per_func,
+        instrs_per_block,
+        call_levels,
+        cond_fraction,
+        call_fraction,
+        jump_fraction,
+        indirect_jump_fraction,
+        indirect_call_fraction,
+        strongly_biased_fraction,
+        loop_fraction,
+        pattern_fraction,
+        loop_trip,
+        mem_fraction,
+        dispatcher_fanout,
+    } = &w.params;
+    let bits = |x: &f64| format!("{:016x}", x.to_bits());
+    let fields = [
+        ("seed", seed.to_string()),
+        ("num_funcs", num_funcs.to_string()),
+        (
+            "blocks_per_func",
+            format!("{}-{}", blocks_per_func.0, blocks_per_func.1),
+        ),
+        (
+            "instrs_per_block",
+            format!("{}-{}", instrs_per_block.0, instrs_per_block.1),
+        ),
+        ("call_levels", call_levels.to_string()),
+        ("cond_fraction", bits(cond_fraction)),
+        ("call_fraction", bits(call_fraction)),
+        ("jump_fraction", bits(jump_fraction)),
+        ("indirect_jump_fraction", bits(indirect_jump_fraction)),
+        ("indirect_call_fraction", bits(indirect_call_fraction)),
+        ("strongly_biased_fraction", bits(strongly_biased_fraction)),
+        ("loop_fraction", bits(loop_fraction)),
+        ("pattern_fraction", bits(pattern_fraction)),
+        ("loop_trip", format!("{}-{}", loop_trip.0, loop_trip.1)),
+        ("mem_fraction", bits(mem_fraction)),
+        ("dispatcher_fanout", dispatcher_fanout.to_string()),
+    ];
+    let mut canon = String::from("fdip-workload-v1");
+    for (name, value) in fields {
+        canon.push_str(&format!("|{name}={value}"));
+    }
+    fnv1a64(canon.as_bytes())
 }
 
 /// The content address of one grid cell, as 16 lowercase hex digits:
@@ -590,6 +642,15 @@ impl RemoteClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn workload_hash_is_pinned_for_a_stock_workload() {
+        // The hash is part of every cache key, an on-disk format: a
+        // change here must come with a new `fdip-workload-v*` tag.
+        let w = &fdip_program::workload::quick_suite()[0];
+        assert_eq!(w.name, "server_a");
+        assert_eq!(workload_hash(w), 0xd9b2_37a2_2c0b_a8d4);
+    }
 
     #[test]
     fn config_codec_round_trips_every_field() {

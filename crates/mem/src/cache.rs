@@ -10,6 +10,17 @@
 //! from installation to their first demand touch (or eviction) and
 //! classified into the [`PrefetchOutcomes`] taxonomy, separately for
 //! decoupled-frontend (FDP) fills and dedicated-prefetcher fills.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use crate::table::FillMap;
 use fdip_types::Cycle;

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! Memory-hierarchy substrate for the FDIP reproduction.
 //!

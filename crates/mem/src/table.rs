@@ -10,6 +10,17 @@
 //! replaces exactly — the map is only ever iterated by `retain`, whose
 //! outcome is order-independent, so replacing the hasher cannot change
 //! simulation results.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use fdip_types::Cycle;
 

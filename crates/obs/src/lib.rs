@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! `fdip-obs` — the operational observability plane for the serving
 //! stack: structured logging, a metrics registry with Prometheus text

@@ -12,10 +12,10 @@
 //! A [`SpanRecorder`] is created per grid, carries its own epoch
 //! ([`crate::clock::Timer`]), and keeps at most [`SPAN_CAPACITY`]
 //! events (earliest win — the interesting part of a runaway grid is
-//! how it started). [`SpanRecorder::write`] dumps atomically via
-//! tmp + rename, mirroring every other artifact writer in the repo.
+//! how it started). [`SpanRecorder::write`] dumps atomically through
+//! [`fdip_telemetry::write_atomic`], as the serve cache and journal do.
 
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -180,7 +180,7 @@ impl SpanRecorder {
     }
 
     /// Writes the trace to `<dir>/grid-<grid_id>.json` atomically
-    /// (tmp + rename), creating `dir` if needed.
+    /// ([`fdip_telemetry::write_atomic`]), creating `dir` if needed.
     pub fn write(&self, dir: &Path, grid_id: &str) -> io::Result<()> {
         std::fs::create_dir_all(dir)?;
         // Grid ids are hex content hashes, but sanitize anyway so a
@@ -190,14 +190,8 @@ impl SpanRecorder {
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
             .collect();
         let path = dir.join(format!("grid-{safe}.json"));
-        let tmp = dir.join(format!(".grid-{safe}.json.tmp"));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(self.to_chrome_trace().to_string_pretty().as_bytes())?;
-            f.write_all(b"\n")?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)
+        let doc = self.to_chrome_trace().to_string_pretty() + "\n";
+        fdip_telemetry::write_atomic(&path, doc.as_bytes())
     }
 }
 
@@ -249,7 +243,7 @@ mod tests {
     #[test]
     fn write_dumps_atomically_and_sanitizes_ids() {
         let dir = std::env::temp_dir().join(format!("fdip-obs-span-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::remove_dir_all(&dir).ok();
         let rec = SpanRecorder::new();
         rec.instant(Track::Grid, "submit", Json::obj());
         rec.write(&dir, "ab12/../evil").expect("write");
@@ -261,6 +255,6 @@ mod tests {
         let text = std::fs::read_to_string(dir.join(&entries[0])).unwrap();
         let parsed = Json::parse(&text).expect("valid json");
         assert!(parsed.get("traceEvents").is_some());
-        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

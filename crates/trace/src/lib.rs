@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! `fdip-trace` — a fixed-capacity ring-buffer event sink for the
 //! simulator, exportable as Chrome `trace_event` JSON.

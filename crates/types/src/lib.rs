@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! Shared vocabulary types for the FDIP (Fetch-Directed Instruction
 //! Prefetching) reproduction.

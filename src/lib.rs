@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! Umbrella crate for the FDIP reproduction workspace.
 //!
 //! Re-exports the public API of every member crate so examples and

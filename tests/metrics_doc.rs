@@ -5,8 +5,7 @@
 //! to `SimStats::to_json`, the histograms, the manifest, or the report
 //! serialization without documenting it fails this test.
 
-use fdip_harness::bench::quick_bench;
-use fdip_harness::{BenchBaseline, Report, Runner, Table};
+use fdip_harness::{Report, Runner, Table};
 use fdip_sim::CoreConfig;
 use fdip_telemetry::{Json, RunManifest, ToJson, SCHEMA_VERSION};
 use std::collections::BTreeSet;
@@ -83,38 +82,6 @@ fn every_experiments_json_field_is_documented() {
         )
         .with("experiments", Json::Arr(vec![report.to_json()]));
     assert_all_documented(&doc_json, &doc(), "experiments json");
-}
-
-#[test]
-fn every_bench_json_field_is_documented() {
-    // A real (tiny) bench run through the same path `fdip-bench --json`
-    // uses, with a baseline attached so the optional block is emitted too.
-    let mut bench = quick_bench(1_000, 1);
-    bench.baseline = Some(BenchBaseline {
-        instrs_per_sec: 1.0,
-        cycles_per_sec: 1.0,
-        git_revision: "test".to_string(),
-    });
-    let emitted = bench.to_json();
-    assert_eq!(
-        emitted.get("schema_version").and_then(Json::as_u64),
-        Some(SCHEMA_VERSION)
-    );
-    assert_all_documented(&emitted, &doc(), "BENCH_core.json");
-    // The bench block itself must carry the documented headline numbers.
-    let b = emitted.get("bench").expect("bench block");
-    for name in ["iters", "workloads", "aggregate", "speedup_vs_baseline"] {
-        assert!(b.get(name).is_some(), "bench field {name} missing");
-    }
-    let agg = b.get("aggregate").unwrap();
-    for name in [
-        "instrs_per_sec",
-        "cycles_per_sec",
-        "setup_seconds",
-        "run_seconds",
-    ] {
-        assert!(agg.get(name).is_some(), "aggregate field {name} missing");
-    }
 }
 
 #[test]

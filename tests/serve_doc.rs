@@ -70,7 +70,7 @@ fn assert_documented(emitted: &Json, context: &str) {
 
 fn state_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fdip-serve-doc-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::remove_dir_all(&dir).ok();
     dir
 }
 
@@ -130,7 +130,7 @@ fn every_wire_key_is_documented() {
     assert_documented(&body, "shutdown response");
     assert_eq!(body.get("draining").and_then(Json::as_bool), Some(true));
     server.join();
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -155,7 +155,7 @@ fn documented_error_codes_behave_as_written() {
     assert_eq!(error_code(&body), "unsupported_suite");
 
     server.stop();
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -171,7 +171,7 @@ fn oversized_bodies_get_413_as_documented() {
     assert_eq!(status, 413);
     assert_eq!(error_code(&body), "too_large");
     server.stop();
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn error_code(body: &Json) -> &str {
@@ -213,8 +213,37 @@ fn documented_hash_algorithm_matches_the_codec() {
         format!("{:016x}", doc_fnv(canon.as_bytes()))
     );
 
-    // Workload hash: FNV-1a over the generator parameters' Debug form.
-    assert_eq!(wh, doc_fnv(format!("{:?}", w.params).as_bytes()));
+    // Workload hash: FNV-1a over the documented canonical encoding of
+    // the generator parameters.
+    let p = &w.params;
+    let bits = |x: f64| format!("{:016x}", x.to_bits());
+    let canon = format!(
+        "fdip-workload-v1|seed={}|num_funcs={}|blocks_per_func={}-{}|instrs_per_block={}-{}\
+         |call_levels={}|cond_fraction={}|call_fraction={}|jump_fraction={}\
+         |indirect_jump_fraction={}|indirect_call_fraction={}|strongly_biased_fraction={}\
+         |loop_fraction={}|pattern_fraction={}|loop_trip={}-{}|mem_fraction={}\
+         |dispatcher_fanout={}",
+        p.seed,
+        p.num_funcs,
+        p.blocks_per_func.0,
+        p.blocks_per_func.1,
+        p.instrs_per_block.0,
+        p.instrs_per_block.1,
+        p.call_levels,
+        bits(p.cond_fraction),
+        bits(p.call_fraction),
+        bits(p.jump_fraction),
+        bits(p.indirect_jump_fraction),
+        bits(p.indirect_call_fraction),
+        bits(p.strongly_biased_fraction),
+        bits(p.loop_fraction),
+        bits(p.pattern_fraction),
+        p.loop_trip.0,
+        p.loop_trip.1,
+        bits(p.mem_fraction),
+        p.dispatcher_fanout,
+    );
+    assert_eq!(wh, doc_fnv(canon.as_bytes()));
 }
 
 #[test]
