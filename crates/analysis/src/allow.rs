@@ -16,7 +16,7 @@
 /// One parsed allowlist entry.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AllowEntry {
-    /// Pass id the exemption applies to (`determinism`, `atomics`, …).
+    /// Pass id the exemption applies to (`atomics`, `hot-alloc`, …).
     pub pass: String,
     /// Workspace-relative path of the exempted file, `/`-separated.
     pub file: String,
@@ -105,14 +105,14 @@ mod tests {
     #[test]
     fn parses_comments_blanks_and_entries() {
         let text = "# header\n\n\
-                    determinism | crates/a/src/x.rs | Instant | timing telemetry only\n";
+                    atomics | crates/a/src/x.rs | Ordering::Relaxed | telemetry tally only\n";
         let al = Allowlist::parse(text).unwrap();
         assert_eq!(al.entries.len(), 1);
         let e = &al.entries[0];
-        assert_eq!(e.pass, "determinism");
+        assert_eq!(e.pass, "atomics");
         assert_eq!(e.file, "crates/a/src/x.rs");
-        assert_eq!(e.needle, "Instant");
-        assert_eq!(e.justification, "timing telemetry only");
+        assert_eq!(e.needle, "Ordering::Relaxed");
+        assert_eq!(e.justification, "telemetry tally only");
         assert_eq!(e.line, 3);
         assert!(!e.used);
     }

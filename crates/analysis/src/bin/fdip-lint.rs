@@ -122,7 +122,7 @@ fn main() -> ExitCode {
     );
     if let Some(path) = &args.json {
         let doc = outcome.to_json().to_string_pretty();
-        if let Err(e) = std::fs::write(path, doc + "\n") {
+        if let Err(e) = fdip_telemetry::write_atomic(path, (doc + "\n").as_bytes()) {
             eprintln!("fdip-lint: writing {}: {e}", path.display());
             return ExitCode::FAILURE;
         }

@@ -25,12 +25,6 @@ pub struct Mutation {
 /// One mutation per registered pass, in registry order.
 pub const MUTATIONS: &[Mutation] = &[
     Mutation {
-        pass: "determinism",
-        file: "crates/core/src/sim.rs",
-        snippet: "fn __lint_mutation_determinism(m: &mut std::collections::HashMap<u32, u32>) {\n    \
-                  m.insert(1, 2);\n}\n",
-    },
-    Mutation {
         pass: "atomics",
         file: "crates/serve/src/scheduler.rs",
         snippet: "fn __lint_mutation_atomics(f: &std::sync::atomic::AtomicBool) {\n    \
@@ -98,7 +92,7 @@ mod tests {
 
     #[test]
     fn splice_appends_after_a_clean_newline() {
-        let m = for_pass("determinism").unwrap();
+        let m = for_pass("atomics").unwrap();
         let out = splice("fn a() {}", m);
         assert!(out.starts_with("fn a() {}\n\n"));
         assert!(out.ends_with(m.snippet));

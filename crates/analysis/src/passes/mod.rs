@@ -1,11 +1,11 @@
-//! The pass registry: five named passes over lexed + parsed sources.
+//! The pass registry: four named passes over lexed + parsed sources.
 //!
 //! Each pass is a pure function from one source file (token stream,
 //! syntax tree, and scope tables) to findings; scoping (which files a
 //! pass examines) lives in the pass itself so the driver stays a dumb
 //! loop. All passes skip `#[cfg(test)]` / `#[test]` regions.
 //!
-//! The token-level passes (`determinism`, `atomics`, `schema-drift`)
+//! The token-level passes (`atomics`, `schema-drift`)
 //! scan the stream directly; the syntax-aware passes (`hot-alloc`,
 //! `lock-discipline`) walk the [`crate::ast`] tree with
 //! [`crate::scope::ScopeInfo`] answering "inside a loop?" /
@@ -13,10 +13,12 @@
 //!
 //! Checks the compiler can make are not passes here: `unsafe`, hot-path
 //! panics and discarded `Result`s are rustc/clippy lints declared in the
-//! root `Cargo.toml` and in each [`HOT_PATH_FILES`] module's header.
+//! root `Cargo.toml` and in each [`HOT_PATH_FILES`] module's header, and
+//! the determinism bans (hash-order collections, wall-clock types,
+//! thread ids, `drop` of a must-use value) are clippy's
+//! `disallowed-types`/`disallowed-methods` in the root `clippy.toml`.
 
 mod atomics;
-mod determinism;
 mod hot_alloc;
 mod lock_discipline;
 mod schema_drift;
@@ -78,12 +80,6 @@ pub struct Pass {
 pub fn registry() -> Vec<Pass> {
     vec![
         Pass {
-            id: "determinism",
-            description: "flags wall-clock reads, hash-order iteration, thread ids, and \
-                          un-seeded randomness in result-affecting crates",
-            run: determinism::run,
-        },
-        Pass {
             id: "atomics",
             description: "flags Ordering::Relaxed on executor/daemon/telemetry atomics \
                           (cross-thread hand-off needs Acquire/Release)",
@@ -114,26 +110,6 @@ pub fn registry() -> Vec<Pass> {
 /// diagnostic-kind table in `docs/METRICS.md` (Document 5);
 /// `tests/lint_doc.rs` keeps the two in sync.
 pub const KINDS: &[(&str, &str, &str)] = &[
-    (
-        "determinism",
-        "hash-order",
-        "HashMap/HashSet iteration order varies across runs",
-    ),
-    (
-        "determinism",
-        "wall-clock",
-        "Instant/SystemTime read in result-affecting code",
-    ),
-    (
-        "determinism",
-        "thread-id",
-        "thread::current leaks scheduler identity into results",
-    ),
-    (
-        "determinism",
-        "unseeded-rng",
-        "randomness not constructed from an explicit seed",
-    ),
     (
         "atomics",
         "relaxed-ordering",
@@ -179,24 +155,6 @@ pub const KINDS: &[(&str, &str, &str)] = &[
         "stale-entry",
         "allowlist entry no claimed finding matches",
     ),
-];
-
-/// Crates whose code affects simulation *results* (as opposed to
-/// timing-only telemetry): anything here must be bit-deterministic.
-pub(crate) const RESULT_CRATES: &[&str] = &[
-    "crates/core/src/",
-    "crates/bpred/src/",
-    "crates/mem/src/",
-    "crates/program/src/",
-    "crates/harness/src/",
-    "crates/prefetch/src/",
-    "crates/types/src/",
-    "crates/serve/src/",
-    "crates/fuzz/src/",
-    // The observability plane never touches results, but it runs inside
-    // the daemon process; covering it confines every wall-clock read to
-    // its allowlisted `clock` module.
-    "crates/obs/src/",
 ];
 
 /// Crates with cross-thread coordination: the `atomics` and
@@ -308,17 +266,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_has_the_five_documented_passes() {
+    fn registry_has_the_four_documented_passes() {
         let ids: Vec<&str> = registry().iter().map(|p| p.id).collect();
         assert_eq!(
             ids,
-            [
-                "determinism",
-                "atomics",
-                "schema-drift",
-                "hot-alloc",
-                "lock-discipline"
-            ]
+            ["atomics", "schema-drift", "hot-alloc", "lock-discipline"]
         );
     }
 

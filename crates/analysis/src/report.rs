@@ -34,7 +34,7 @@ impl Severity {
 /// One diagnostic from one pass at one source position.
 #[derive(Clone, Debug)]
 pub struct Finding {
-    /// Id of the pass that produced it (`determinism`, `atomics`, …, or
+    /// Id of the pass that produced it (`atomics`, `hot-alloc`, …, or
     /// `allowlist` for problems with the allowlist file itself).
     pub pass: &'static str,
     /// Machine-readable diagnostic kind within the pass (e.g.
@@ -178,26 +178,26 @@ mod tests {
         LintOutcome {
             findings: vec![
                 Finding {
-                    pass: "determinism",
-                    kind: "wall-clock",
+                    pass: "atomics",
+                    kind: "relaxed-ordering",
                     file: "crates/x/src/a.rs".into(),
                     line: 3,
                     col: 9,
                     severity: Severity::Error,
-                    needle: "Instant".into(),
-                    message: "wall-clock read".into(),
+                    needle: "Ordering::Relaxed".into(),
+                    message: "relaxed hand-off".into(),
                     justification: None,
                 },
                 Finding {
-                    pass: "determinism",
-                    kind: "hash-order",
+                    pass: "atomics",
+                    kind: "relaxed-ordering",
                     file: "crates/x/src/a.rs".into(),
                     line: 7,
                     col: 1,
                     severity: Severity::Error,
-                    needle: "HashMap".into(),
-                    message: "nondeterministic iteration".into(),
-                    justification: Some("frozen before iteration".into()),
+                    needle: "Ordering::Relaxed".into(),
+                    message: "relaxed counter".into(),
+                    justification: Some("telemetry tally only".into()),
                 },
                 Finding {
                     pass: "hot-alloc",
@@ -212,7 +212,7 @@ mod tests {
                 },
             ],
             files_scanned: 2,
-            pass_ids: vec!["determinism", "hot-alloc"],
+            pass_ids: vec!["atomics", "hot-alloc"],
         }
     }
 
@@ -220,7 +220,7 @@ mod tests {
     fn deny_semantics_follow_severity_and_allowlisting() {
         let o = sample();
         let denied: Vec<&str> = o.denied().map(|f| f.needle.as_str()).collect();
-        assert_eq!(denied, ["Instant", "vec!"]);
+        assert_eq!(denied, ["Ordering::Relaxed", "vec!"]);
         assert_eq!(o.count(Severity::Error), 2);
         assert_eq!(o.count(Severity::Warn), 1);
         assert_eq!(o.allowlisted(), 1);
@@ -231,12 +231,12 @@ mod tests {
         let o = sample();
         assert_eq!(
             o.findings[0].render(),
-            "crates/x/src/a.rs:3:9: [determinism] error: wall-clock read"
+            "crates/x/src/a.rs:3:9: [atomics] error: relaxed hand-off"
         );
         assert_eq!(
             o.findings[1].render(),
-            "crates/x/src/a.rs:7:1: [determinism] error: nondeterministic iteration \
-             (allowed: frozen before iteration)"
+            "crates/x/src/a.rs:7:1: [atomics] error: relaxed counter \
+             (allowed: telemetry tally only)"
         );
     }
 

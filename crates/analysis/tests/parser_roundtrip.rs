@@ -66,5 +66,5 @@ fn fixture_files_round_trip_too() {
             n += 1;
         }
     }
-    assert!(n >= 9, "expected the fixture corpus, found {n} files");
+    assert!(n >= 7, "expected the fixture corpus, found {n} files");
 }

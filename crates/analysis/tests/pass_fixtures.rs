@@ -33,55 +33,6 @@ fn run_pass_on(pass_id: &str, path: &str, source: &str, metrics_doc: &str) -> Ve
 }
 
 #[test]
-fn determinism_fixture_flags_every_hazard() {
-    let hits = run_pass_on(
-        "determinism",
-        "crates/core/src/sim.rs",
-        &fixture("determinism_bad.rs"),
-        "",
-    );
-    let needles: Vec<&str> = hits.iter().map(|f| f.needle.as_str()).collect();
-    for expected in [
-        "HashMap",
-        "HashSet",
-        "Instant",
-        "SystemTime",
-        "thread::current",
-        "thread_rng",
-        "from_entropy",
-    ] {
-        assert!(
-            needles.contains(&expected),
-            "missing {expected}: {needles:?}"
-        );
-    }
-    assert!(hits.iter().all(|f| f.severity == Severity::Error));
-}
-
-#[test]
-fn determinism_fixture_clean_version_passes() {
-    let hits = run_pass_on(
-        "determinism",
-        "crates/core/src/sim.rs",
-        &fixture("determinism_good.rs"),
-        "",
-    );
-    assert!(hits.is_empty(), "clean fixture flagged: {hits:?}");
-}
-
-#[test]
-fn determinism_is_scoped_to_result_crates() {
-    // The same hazards in an out-of-scope crate are not findings.
-    let hits = run_pass_on(
-        "determinism",
-        "crates/telemetry/src/manifest.rs",
-        &fixture("determinism_bad.rs"),
-        "",
-    );
-    assert!(hits.is_empty());
-}
-
-#[test]
 fn atomics_fixture_flags_relaxed_only_in_exec() {
     let bad = fixture("atomics_bad.rs");
     let hits = run_pass_on("atomics", "crates/exec/src/lib.rs", &bad, "");

@@ -7,7 +7,8 @@
 use std::path::{Path, PathBuf};
 
 use fdip_analysis::allow::Allowlist;
-use fdip_analysis::{lint_workspace, ALLOWLIST_PATH};
+use fdip_analysis::lexer::{lex, TokKind};
+use fdip_analysis::{collect_files, lint_workspace, ALLOWLIST_PATH};
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -34,20 +35,14 @@ fn workspace_is_lint_clean_under_deny() {
 }
 
 #[test]
-fn all_five_passes_are_registered() {
+fn all_four_passes_are_registered() {
     let ids: Vec<&str> = fdip_analysis::passes::registry()
         .iter()
         .map(|p| p.id)
         .collect();
     assert_eq!(
         ids,
-        vec![
-            "determinism",
-            "atomics",
-            "schema-drift",
-            "hot-alloc",
-            "lock-discipline"
-        ]
+        vec!["atomics", "schema-drift", "hot-alloc", "lock-discipline"]
     );
 }
 
@@ -132,6 +127,91 @@ fn hot_path_files_deny_panicking_calls_outside_tests() {
             "{file} must carry the clippy deny header for panicking calls"
         );
     }
+}
+
+// The determinism gate is clippy's `disallowed-types`/`disallowed-methods`
+// reading the root `clippy.toml`. It weakens silently if an entry goes,
+// if a manifest lowers the lints, or if a source file `allow`s them, so
+// each of those is checked here.
+
+/// The `path = "…"` entries of the `key = [ … ]` array in `clippy.toml`.
+fn clippy_paths(config: &str, key: &str) -> Vec<String> {
+    let mut lines = config.lines().map(str::trim);
+    if !lines.any(|l| l.starts_with(key) && l.ends_with('[')) {
+        return Vec::new();
+    }
+    lines
+        .take_while(|l| *l != "]")
+        .filter_map(|l| l.split_once("path = \"")?.1.split_once('"'))
+        .map(|(path, _)| path.to_string())
+        .collect()
+}
+
+#[test]
+fn clippy_toml_bans_every_nondeterminism_source() {
+    let root = workspace_root();
+    let config = std::fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml");
+    assert_eq!(
+        clippy_paths(&config, "disallowed-types"),
+        [
+            "std::collections::HashMap",
+            "std::collections::HashSet",
+            "std::collections::hash_map::RandomState",
+            "std::time::Instant",
+            "std::time::SystemTime",
+        ]
+    );
+    assert_eq!(
+        clippy_paths(&config, "disallowed-methods"),
+        ["std::thread::current", "std::mem::drop"]
+    );
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+    assert!(
+        !manifest.contains("disallowed_"),
+        "[workspace.lints] must leave disallowed_types/disallowed_methods at their default level"
+    );
+}
+
+#[test]
+fn no_source_file_allows_the_determinism_lints() {
+    let root = workspace_root();
+    let mut offenders = Vec::new();
+    for rel in collect_files(&root).expect("workspace scan") {
+        let text = std::fs::read_to_string(root.join(&rel)).expect("source reads");
+        let compact: String = text.split_whitespace().collect();
+        let lowered = ["allow(", "warn("].iter().any(|attr| {
+            compact.split(attr).skip(1).any(|rest| {
+                let group = rest.split(')').next().unwrap_or_default();
+                group.contains("clippy::disallowed_")
+            })
+        });
+        if lowered {
+            offenders.push(rel);
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "exempt a site with #[expect(.., reason)], never by lowering the lint: {offenders:?}"
+    );
+}
+
+#[test]
+fn only_the_clock_module_names_the_wall_clock_types() {
+    let root = workspace_root();
+    let mut readers = Vec::new();
+    for rel in collect_files(&root).expect("workspace scan") {
+        if !rel.starts_with("crates/") {
+            continue;
+        }
+        let text = std::fs::read_to_string(root.join(&rel)).expect("source reads");
+        if lex(&text)
+            .iter()
+            .any(|t| t.kind == TokKind::Ident && (t.text == "Instant" || t.text == "SystemTime"))
+        {
+            readers.push(rel);
+        }
+    }
+    assert_eq!(readers, ["crates/telemetry/src/clock.rs"]);
 }
 
 #[test]

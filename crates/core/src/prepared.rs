@@ -263,11 +263,11 @@ mod tests {
                 func_warmup,
                 ..CoreConfig::fdp()
             };
-            drop(shared.simulator(cfg));
+            shared.simulator(cfg);
         }
         assert_eq!(shared.builds(), 0);
         assert!(shared.shared.get().is_none(), "one-off set-ups are dropped");
-        drop(shared.simulator(CoreConfig::fdp()));
+        shared.simulator(CoreConfig::fdp());
         assert_eq!(shared.builds(), 1);
     }
 

@@ -21,8 +21,7 @@
 //! key is claimable again: the next caller to ask for it computes it
 //! afresh, and waiters see the failure instead of hanging.
 
-use std::collections::hash_map::{Entry, HashMap};
-use std::hash::Hash;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
@@ -50,20 +49,20 @@ enum Slot<V> {
 /// A keyed table of in-flight and finished computations; see the module
 /// docs for the claim → resolve → wait protocol.
 pub struct CellTable<K, V> {
-    slots: Mutex<HashMap<K, Slot<V>>>,
+    slots: Mutex<BTreeMap<K, Slot<V>>>,
     resolved: Condvar,
 }
 
 impl<K, V> Default for CellTable<K, V> {
     fn default() -> Self {
         CellTable {
-            slots: Mutex::new(HashMap::new()),
+            slots: Mutex::new(BTreeMap::new()),
             resolved: Condvar::new(),
         }
     }
 }
 
-impl<K: Eq + Hash, V: Clone> CellTable<K, V> {
+impl<K: Ord, V: Clone> CellTable<K, V> {
     /// An empty table.
     pub fn new() -> Self {
         CellTable::default()
@@ -113,6 +112,10 @@ impl<K: Eq + Hash, V: Clone> CellTable<K, V> {
             }
             match worker {
                 Some(id) => {
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "releases the table lock while this worker helps the pool"
+                    )]
                     drop(slots);
                     let ran = pool.help(id);
                     slots = lock(&self.slots);

@@ -43,8 +43,8 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
+use fdip_telemetry::clock::Timer;
 use fdip_telemetry::{Histogram, Json, ToJson};
 
 mod cells;
@@ -220,7 +220,7 @@ struct Batch<T> {
 pub struct Pool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    created: Instant,
+    created: Timer,
 }
 
 impl Pool {
@@ -256,7 +256,7 @@ impl Pool {
         Pool {
             shared,
             workers,
-            created: Instant::now(),
+            created: Timer::start(),
         }
     }
 
@@ -302,7 +302,7 @@ impl Pool {
                 let batch = Arc::clone(&batch);
                 let shared = Arc::clone(&self.shared);
                 st.injector.push_back(Box::new(move || {
-                    let t0 = Instant::now();
+                    let t0 = Timer::start();
                     let result = catch_unwind(AssertUnwindSafe(f));
                     // Release pairs with the Acquire loads in `stats()`:
                     // a submitter that saw its batch complete (via the
@@ -311,7 +311,7 @@ impl Pool {
                     shared
                         .counters
                         .busy_ns
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Release);
+                        .fetch_add(t0.elapsed_nanos(), Ordering::Release);
                     shared
                         .counters
                         .jobs_completed
@@ -428,7 +428,7 @@ impl Pool {
 
     /// A snapshot of the pool's lifetime telemetry.
     pub fn stats(&self) -> PoolStats {
-        let elapsed = self.created.elapsed().as_secs_f64().max(1e-9);
+        let elapsed = self.created.elapsed_secs().max(1e-9);
         // Acquire pairs with the Release increments in the batch wrapper.
         let jobs = self.shared.counters.jobs_completed.load(Ordering::Acquire);
         let busy_s = self.shared.counters.busy_ns.load(Ordering::Acquire) as f64 / 1e9;

@@ -255,7 +255,7 @@ fn cmd_run(args: &RunArgs) -> Result<ExitCode, String> {
     };
     let report = report_to_json(&meta, &args.opts, &outcome);
     if let Some(path) = &args.json {
-        std::fs::write(path, report.to_string_pretty() + "\n")
+        fdip_telemetry::write_atomic(path, (report.to_string_pretty() + "\n").as_bytes())
             .map_err(|e| format!("{}: {e}", path.display()))?;
     } else {
         println!("{}", report.to_string_pretty());

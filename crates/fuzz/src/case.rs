@@ -103,7 +103,7 @@ impl CaseFile {
     ///
     /// Propagates filesystem errors.
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json().to_string_pretty() + "\n")
+        fdip_telemetry::write_atomic(path, (self.to_json().to_string_pretty() + "\n").as_bytes())
     }
 
     /// Reads and decodes a case file.

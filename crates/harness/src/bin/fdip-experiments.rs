@@ -21,9 +21,9 @@
 
 use fdip_harness::experiments;
 use fdip_harness::{Report, Runner};
-use fdip_telemetry::{Json, RunManifest, ToJson, SCHEMA_VERSION};
-use std::io::Write;
-use std::time::Instant;
+use fdip_telemetry::clock::Timer;
+use fdip_telemetry::{write_atomic, Json, RunManifest, ToJson, SCHEMA_VERSION};
+use std::path::Path;
 
 fn main() {
     // CLI runs mirror structured log records (e.g. the remote-fallback
@@ -88,7 +88,7 @@ fn main() {
             .collect()
     };
 
-    let t0 = Instant::now();
+    let t0 = Timer::start();
     let mut runner = Runner::from_env();
     if let Some(addr) = &server {
         runner = runner.with_server(addr, "fdip-experiments");
@@ -111,9 +111,9 @@ fn main() {
         for (slot, e) in slots.iter_mut().zip(&selected) {
             let runner = &runner;
             scope.spawn(move || {
-                let t = Instant::now();
+                let t = Timer::start();
                 let report = (e.run)(runner);
-                *slot = Some((report, t.elapsed().as_secs_f64()));
+                *slot = Some((report, t.elapsed_secs()));
             });
         }
     });
@@ -126,7 +126,7 @@ fn main() {
         println!("({} took {secs:.1}s)\n", e.id);
         reports.push(report);
     }
-    println!("total {:.1}s", t0.elapsed().as_secs_f64());
+    println!("total {:.1}s", t0.elapsed_secs());
 
     if let Some(path) = json_path {
         let mut manifest = RunManifest::new(
@@ -136,7 +136,7 @@ fn main() {
             runner.measure(),
             runner.len(),
         );
-        manifest.wall_seconds = t0.elapsed().as_secs_f64();
+        manifest.wall_seconds = t0.elapsed_secs();
         manifest.pool = Some(runner.pool().stats().to_json());
         let doc = Json::obj()
             .with("schema_version", SCHEMA_VERSION)
@@ -145,9 +145,7 @@ fn main() {
                 "experiments",
                 Json::Arr(reports.iter().map(ToJson::to_json).collect()),
             );
-        let write = std::fs::File::create(&path)
-            .and_then(|mut f| f.write_all(doc.to_string_pretty().as_bytes()));
-        if let Err(e) = write {
+        if let Err(e) = write_atomic(Path::new(&path), doc.to_string_pretty().as_bytes()) {
             eprintln!("error: cannot write {path}: {e}");
             std::process::exit(1);
         }

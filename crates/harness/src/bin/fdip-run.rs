@@ -22,9 +22,9 @@ use fdip_sim::{
     run_workload_detailed, run_workload_traced, CoreConfig, DirectionConfig, SimStats, StallReason,
     STALL_REASON_NAMES,
 };
-use fdip_telemetry::RunManifest;
+use fdip_telemetry::clock::Timer;
+use fdip_telemetry::{write_atomic, RunManifest};
 use std::path::Path;
-use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
@@ -242,13 +242,13 @@ fn main() {
         program.static_branch_count()
     );
 
-    let t0 = Instant::now();
+    let t0 = Timer::start();
     let (s, dists) = match &trace_path {
         Some(path) => {
             let (s, dists, tracer) =
                 run_workload_traced(&cfg, &program, warmup, instrs, trace_limit);
             let trace = tracer.to_chrome_trace(&STALL_REASON_NAMES);
-            if let Err(e) = std::fs::write(path, trace.to_string()) {
+            if let Err(e) = write_atomic(Path::new(path), trace.to_string().as_bytes()) {
                 eprintln!("error: cannot write {path}: {e}");
                 std::process::exit(1);
             }
@@ -264,7 +264,7 @@ fn main() {
     if let Some(path) = &json_path {
         let mut manifest =
             RunManifest::new("fdip-run", &format!("workload:{name}"), warmup, instrs, 1);
-        manifest.wall_seconds = t0.elapsed().as_secs_f64();
+        manifest.wall_seconds = t0.elapsed_secs();
         let suite = SuiteResult {
             manifest,
             workloads: vec![WorkloadResult {

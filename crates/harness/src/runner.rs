@@ -56,6 +56,7 @@ use fdip_exec::{CellTable, Claim, Pool};
 use fdip_program::workload::{self, Workload};
 use fdip_program::Program;
 use fdip_sim::{run_workload_job, CoreConfig, PreparedProgram, SimDists, SimStats};
+use fdip_telemetry::clock::Timer;
 use fdip_telemetry::{RunManifest, ToJson};
 
 /// Geometric mean of a slice of positive values.
@@ -366,7 +367,7 @@ impl Runner {
     /// stamped [`RunManifest`], including pool telemetry) for JSON
     /// emission.
     pub fn run_suite(&self, cfg: &CoreConfig, tool: &str) -> SuiteResult {
-        let t0 = std::time::Instant::now();
+        let t0 = Timer::start();
         let results = self.run_config_detailed(cfg);
         let workloads = self
             .workloads
@@ -386,7 +387,7 @@ impl Runner {
             self.measure,
             self.workloads.len(),
         );
-        manifest.wall_seconds = t0.elapsed().as_secs_f64();
+        manifest.wall_seconds = t0.elapsed_secs();
         manifest.pool = Some(self.pool().stats().to_json());
         SuiteResult {
             manifest,

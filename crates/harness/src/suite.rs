@@ -6,7 +6,6 @@
 //! walks every emitted field name against that document so the two
 //! cannot drift apart silently.
 
-use std::io::Write;
 use std::path::Path;
 
 use crate::runner::geomean;
@@ -101,14 +100,14 @@ impl SuiteResult {
             )
     }
 
-    /// Writes the pretty-printed JSON document to `path`.
+    /// Writes the pretty-printed JSON document to `path` atomically
+    /// ([`fdip_telemetry::write_atomic`]).
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if the file cannot be created or written.
+    /// Returns the I/O error if the file cannot be written.
     pub fn write_json_file(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_json().to_string_pretty().as_bytes())
+        fdip_telemetry::write_atomic(path, self.to_json().to_string_pretty().as_bytes())
     }
 }
 

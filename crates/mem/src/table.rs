@@ -178,6 +178,10 @@ impl FillMap {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "std HashMap is the reference model FillMap must match; nothing iterates it"
+)]
 mod tests {
     use super::*;
     use std::collections::HashMap;

@@ -21,9 +21,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
+use fdip_telemetry::clock::unix_now_millis;
 use fdip_telemetry::Json;
-
-use crate::clock;
 
 /// Records kept in the in-memory ring served at `GET /v1/logs`.
 pub const RING_CAPACITY: usize = 1024;
@@ -289,7 +288,7 @@ impl Logger {
         }
         let record = LogRecord {
             seq: self.seq.fetch_add(1, Ordering::Relaxed) + 1,
-            ts_ms: clock::unix_now_millis(),
+            ts_ms: unix_now_millis(),
             level,
             target: target.to_string(),
             msg: msg.to_string(),

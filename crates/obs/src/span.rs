@@ -4,13 +4,13 @@
 //! `fdip-trace` records *cycle-domain* events inside a simulation; this
 //! module records the *wall-clock* life of a grid inside `fdip-serve`:
 //! submit → classify → simulate → assemble → respond, with coalesce
-//! and resume edges as instants. The export uses the same Document 4
-//! vocabulary (`traceEvents`, `ph`, `ts`, `dur`, `args`, …) so a dump
-//! opens in Perfetto/`chrome://tracing` beside the simulator's cycle
-//! traces, and the schema-drift lint sees no new wire keys.
+//! and resume edges as instants. The export goes through the same
+//! Document 4 encoder as the cycle traces ([`fdip_telemetry::chrome`]),
+//! so a dump opens in Perfetto/`chrome://tracing` beside them with the
+//! same key set.
 //!
 //! A [`SpanRecorder`] is created per grid, carries its own epoch
-//! ([`crate::clock::Timer`]), and keeps at most [`SPAN_CAPACITY`]
+//! ([`fdip_telemetry::clock::Timer`]), and keeps at most [`SPAN_CAPACITY`]
 //! events (earliest win — the interesting part of a runaway grid is
 //! how it started). [`SpanRecorder::write`] dumps atomically through
 //! [`fdip_telemetry::write_atomic`], as the serve cache and journal do.
@@ -19,9 +19,8 @@ use std::io;
 use std::path::Path;
 use std::sync::Mutex;
 
-use fdip_telemetry::Json;
-
-use crate::clock::Timer;
+use fdip_telemetry::clock::Timer;
+use fdip_telemetry::{chrome, Json};
 
 /// Maximum events kept per recorder; later events are counted in
 /// `metadata.dropped_events` instead of stored.
@@ -134,49 +133,29 @@ impl SpanRecorder {
     /// The Chrome `trace_event` document: thread-name metadata for both
     /// tracks, then every event in recording order.
     pub fn to_chrome_trace(&self) -> Json {
+        const PID: u64 = 1;
         let inner = self.inner.lock().expect("span lock");
         let mut events = Vec::with_capacity(inner.events.len() + 2);
         for track in [Track::Grid, Track::Cells] {
-            events.push(
-                Json::obj()
-                    .with("name", "thread_name")
-                    .with("ph", "M")
-                    .with("pid", 1u64)
-                    .with("tid", track.tid())
-                    .with("args", Json::obj().with("name", track.name())),
-            );
+            events.push(chrome::thread_name(PID, track.tid(), track.name()));
         }
         for ev in &inner.events {
             events.push(match ev {
-                Ev::Slice(name, track, ts, dur, args) => Json::obj()
-                    .with("name", name.as_str())
-                    .with("ph", "X")
-                    .with("pid", 1u64)
-                    .with("tid", track.tid())
-                    .with("ts", *ts)
-                    .with("dur", *dur)
-                    .with("args", args.clone()),
-                Ev::Mark(name, track, ts, args) => Json::obj()
-                    .with("name", name.as_str())
-                    .with("ph", "i")
-                    .with("s", "t")
-                    .with("pid", 1u64)
-                    .with("tid", track.tid())
-                    .with("ts", *ts)
-                    .with("args", args.clone()),
+                Ev::Slice(name, track, ts, dur, args) => {
+                    chrome::complete(name, PID, track.tid(), *ts, *dur).with("args", args.clone())
+                }
+                Ev::Mark(name, track, ts, args) => {
+                    chrome::instant(name, PID, track.tid(), *ts).with("args", args.clone())
+                }
             });
         }
-        Json::obj()
-            .with("traceEvents", Json::Arr(events))
-            .with("displayTimeUnit", "ms")
-            .with(
-                "metadata",
-                Json::obj()
-                    .with("tool", "fdip-serve")
-                    .with("clock", "wall-clock microseconds since grid submission")
-                    .with("dropped_events", inner.dropped)
-                    .with("ring_capacity", SPAN_CAPACITY as u64),
-            )
+        chrome::document(
+            events,
+            "fdip-serve",
+            "wall-clock microseconds since grid submission",
+            inner.dropped,
+            SPAN_CAPACITY as u64,
+        )
     }
 
     /// Writes the trace to `<dir>/grid-<grid_id>.json` atomically

@@ -167,6 +167,10 @@ pub fn quick_suite() -> Vec<Workload> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "uniqueness counts only; WorkloadFamily is not Ord and order never matters"
+)]
 mod tests {
     use super::*;
     use std::collections::HashSet;

@@ -238,7 +238,7 @@ mod tests {
         });
         let (stream, _) = listener.accept().unwrap();
         let req = read_request(&stream, 1024, Duration::from_secs(5));
-        drop(writer.join().unwrap());
+        writer.join().unwrap();
         req
     }
 

@@ -203,10 +203,11 @@ mod tests {
             j.grid_begin("g2", &req("b")).unwrap();
         }
         // Simulate a kill mid-write: a torn record at the tail.
-        use std::io::Write as _;
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        write!(f, "{{\"op\": \"cell_done\", \"grid").unwrap();
-        drop(f);
+        {
+            use std::io::Write as _;
+            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            write!(f, "{{\"op\": \"cell_done\", \"grid").unwrap();
+        }
         let (_, inc) = Journal::open(path.clone()).unwrap();
         assert_eq!(inc.len(), 1);
         assert_eq!(inc[0].grid_id, "g2");

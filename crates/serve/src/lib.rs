@@ -49,10 +49,10 @@ use fdip_exec::{CancelToken, CellTable, Pool};
 use fdip_harness::remote::{
     GRID_PATH, HEALTHZ_PATH, LOGS_PATH, METRICS_PATH, PROGRESS_PATH, SHUTDOWN_PATH, TELEMETRY_PATH,
 };
-use fdip_obs::clock::Timer;
 use fdip_obs::log::{self, Level};
 use fdip_program::workload::Workload;
 use fdip_sim::PreparedProgram;
+use fdip_telemetry::clock::Timer;
 use fdip_telemetry::{Json, SCHEMA_VERSION};
 
 use cache::Cache;
@@ -348,6 +348,10 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
         });
     }
     // Refuse new connections while the drain completes.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "closes the listening socket before the drain wait below"
+    )]
     drop(listener);
     let mut gate = shared.gate.lock().expect("gate lock");
     while gate.inflight_grids > 0 || gate.connections > 0 {

@@ -92,7 +92,8 @@ pub(crate) fn handle_grid(
 ) -> Result<Json, ServeError> {
     let grid = validate(body)?;
     admit(shared, resumed)?;
-    let guard = InflightGuard(shared);
+    // Released at every return, early or not, when it leaves scope.
+    let _inflight = InflightGuard(shared);
     // The recorder's epoch is admission time; every span timestamp is
     // microseconds since this point.
     let recorder = shared
@@ -177,12 +178,10 @@ pub(crate) fn handle_grid(
     }
     if let Err(e) = run_ok {
         finish_interrupted(shared, &grid_id, recorder.as_ref());
-        drop(guard);
         return Err(e);
     }
     if !wait_ok {
         finish_interrupted(shared, &grid_id, recorder.as_ref());
-        drop(guard);
         return Err(ServeError::new(
             503,
             "interrupted",
@@ -236,7 +235,6 @@ pub(crate) fn handle_grid(
             ("cells", total.into()),
         ],
     );
-    drop(guard);
     Ok(response)
 }
 
@@ -445,7 +443,7 @@ fn run_owned(
         jobs.push(move || {
             shared.telemetry.on_cell_sim_flight(1.0);
             let sim_start = recorder.as_ref().map(|r| r.now_us());
-            let sim_timer = fdip_obs::clock::Timer::start();
+            let sim_timer = fdip_telemetry::clock::Timer::start();
             let (stats, dists) = run_workload_job(cfg.clone(), &program, warmup, measure);
             let sim_micros = sim_timer.elapsed_micros();
             if let Some(r) = &recorder {

@@ -6,15 +6,14 @@
 //! every Document 6 value is read back from the same counter cell a
 //! scrape samples, so the two cannot drift — a regression test compares
 //! them field by field. Wall-clock reads (start time, uptime) go
-//! through `fdip_obs::clock`, the one allowlisted clock module; this
-//! file no longer touches `Instant`/`SystemTime` itself.
+//! through `fdip_telemetry::clock`, the workspace's one clock module.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use fdip_exec::PoolStats;
-use fdip_obs::clock::{unix_now_secs, Timer};
 use fdip_obs::metrics::{Counter, Gauge, HistogramHandle, Registry};
+use fdip_telemetry::clock::{unix_now_secs, Timer};
 use fdip_telemetry::{Json, ToJson, SCHEMA_VERSION};
 
 /// Per-client counter handles (and the iteration order for the

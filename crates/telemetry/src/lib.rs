@@ -17,6 +17,10 @@
 //! * [`RunManifest`] — provenance for a results file: tool, suite, run
 //!   lengths, git revision, wall time.
 //! * [`write_atomic`] — the one durable tmp-and-rename file writer.
+//! * [`chrome`] — the one Chrome `trace_event` encoder (Document 4),
+//!   shared by the cycle tracer and the daemon's span recorder.
+//! * [`clock`] — the workspace's one wall-clock module (stopwatch and
+//!   Unix timestamps), for telemetry that never enters results.
 //!
 //! Everything here is dependency-free and deterministic; nothing in this
 //! crate knows about the simulator (the `fdip-sim` and `fdip-harness`
@@ -37,6 +41,8 @@
 //! assert_eq!(round.get("count").and_then(Json::as_u64), Some(4));
 //! ```
 
+pub mod chrome;
+pub mod clock;
 mod counter;
 mod hist;
 mod json;

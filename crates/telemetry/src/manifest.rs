@@ -1,8 +1,8 @@
 //! Run provenance for a results file.
 
 use std::process::Command;
-use std::time::{SystemTime, UNIX_EPOCH};
 
+use crate::clock::unix_now_secs;
 use crate::json::Json;
 use crate::ToJson;
 
@@ -54,7 +54,7 @@ impl RunManifest {
             measure_instrs,
             workload_count,
             git_revision: git_describe(),
-            generated_unix: unix_now(),
+            generated_unix: unix_now_secs(),
             wall_seconds: 0.0,
             pool: None,
         }
@@ -90,13 +90,6 @@ fn git_describe() -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
-}
-
-fn unix_now() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -19,13 +19,13 @@
 //! Events are plain `(cycle, kind, a, b)` quadruples — 32 bytes, no
 //! heap — with the interpretation of `a`/`b` fixed per [`TraceEventKind`].
 //! [`Tracer::to_chrome_trace`] turns the buffer into a Chrome
-//! `trace_event` document using the in-repo JSON writer (no external
-//! dependencies): `StallTransition` pairs become duration (`"X"`) slices
+//! `trace_event` document through the shared encoder
+//! [`fdip_telemetry::chrome`] (no external dependencies): `StallTransition` pairs become duration (`"X"`) slices
 //! on one track, everything else becomes instant (`"i"`) events on a
 //! second track, with one simulated cycle mapped to one microsecond of
 //! trace time.
 
-use fdip_telemetry::Json;
+use fdip_telemetry::{chrome, Json};
 
 /// What happened. The meaning of the generic payload words `a` and `b`
 /// is listed per variant.
@@ -245,46 +245,30 @@ impl Tracer {
         }
         out.sort_by_key(|(ts, _)| *ts);
         let mut events: Vec<Json> = vec![
-            thread_name_meta(STALL_TRACK, "cycle attribution"),
-            thread_name_meta(EVENT_TRACK, "frontend events"),
+            chrome::thread_name(PID, STALL_TRACK, "cycle attribution"),
+            chrome::thread_name(PID, EVENT_TRACK, "frontend events"),
         ];
         events.extend(out.into_iter().map(|(_, j)| j));
-        Json::obj()
-            .with("traceEvents", Json::Arr(events))
-            .with("displayTimeUnit", "ms")
-            .with(
-                "metadata",
-                Json::obj()
-                    .with("tool", "fdip-run")
-                    .with("clock", "one simulated cycle = 1us of trace time")
-                    .with("dropped_events", self.dropped)
-                    .with("ring_capacity", self.capacity),
-            )
+        chrome::document(
+            events,
+            "fdip-run",
+            "one simulated cycle = 1us of trace time",
+            self.dropped,
+            self.capacity as u64,
+        )
     }
 }
+
+/// Chrome `pid`: one simulated core per trace.
+const PID: u64 = 0;
 
 /// Chrome `tid` for the stall-attribution slice track.
 const STALL_TRACK: u64 = 0;
 /// Chrome `tid` for the instant-event track.
 const EVENT_TRACK: u64 = 1;
 
-fn thread_name_meta(tid: u64, name: &str) -> Json {
-    Json::obj()
-        .with("name", "thread_name")
-        .with("ph", "M")
-        .with("pid", 0u64)
-        .with("tid", tid)
-        .with("args", Json::obj().with("name", name))
-}
-
 fn stall_slice(start: u64, end: u64, name: &str) -> Json {
-    Json::obj()
-        .with("name", name)
-        .with("ph", "X")
-        .with("ts", start)
-        .with("dur", end - start)
-        .with("pid", 0u64)
-        .with("tid", STALL_TRACK)
+    chrome::complete(name, PID, STALL_TRACK, start, end - start)
 }
 
 fn instant_event(e: &TraceEvent) -> Json {
@@ -301,14 +285,7 @@ fn instant_event(e: &TraceEvent) -> Json {
         TraceEventKind::Flush => Json::obj().with("pc", e.a).with("target", e.b),
         TraceEventKind::StallTransition => unreachable!("handled as a slice"),
     };
-    Json::obj()
-        .with("name", e.kind.name())
-        .with("ph", "i")
-        .with("ts", e.cycle)
-        .with("pid", 0u64)
-        .with("tid", EVENT_TRACK)
-        .with("s", "t")
-        .with("args", args)
+    chrome::instant(e.kind.name(), PID, EVENT_TRACK, e.cycle).with("args", args)
 }
 
 #[cfg(test)]

@@ -11,12 +11,14 @@ cd "$(dirname "$0")/.."
 echo "==> fdip-lint --deny"
 # The workspace's own static-analysis gate (docs/ANALYSIS.md) runs
 # first: it needs no build artifacts beyond the lint binary and catches
-# the project-specific hazards (determinism, relaxed cross-thread
-# atomics, schema drift, hot-path allocation, lock discipline) before
-# the expensive steps. `unsafe` and discarded Results fail `cargo build`
-# below, and hot-path panics and `let _ =` on a must-use value fail
-# `cargo clippy`: those are compiler lints declared in Cargo.toml
-# `[workspace.lints]` and in each hot-path module's header.
+# the project-specific hazards (relaxed cross-thread atomics, schema
+# drift, hot-path allocation, lock discipline) before the expensive
+# steps. `unsafe` and discarded Results fail `cargo build` below;
+# hot-path panics, `let _ =` on a must-use value and the determinism
+# bans (HashMap/HashSet/RandomState, Instant/SystemTime outside
+# fdip_telemetry::clock, thread::current, drop) fail `cargo clippy`.
+# Those are compiler lints declared in Cargo.toml `[workspace.lints]`,
+# in each hot-path module's header and in the root clippy.toml.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 cargo run -q --release --offline -p fdip-analysis --bin fdip-lint -- \
@@ -31,7 +33,7 @@ echo "==> fdip-lint detection liveness (--inject)"
 # A pass that silently stops firing would leave the gate above green
 # forever (docs/ANALYSIS.md "Detection liveness"). Splice each
 # syntax-aware pass's canonical bad construct into the tree in memory;
-# the linter must then exit nonzero. The full five-pass matrix runs in
+# the linter must then exit nonzero. The full four-pass matrix runs in
 # crates/analysis/tests/mutation_liveness.rs.
 for pass in hot-alloc lock-discipline; do
   if cargo run -q --release --offline -p fdip-analysis --bin fdip-lint -- \

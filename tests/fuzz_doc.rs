@@ -9,8 +9,9 @@
 //!   names, injection modes, config columns, and CLI flags the docs
 //!   spell out must exist in the code exactly as written.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
+
+mod common;
 
 use fdip_fuzz::{
     fuzz_seed_range, generate, report_to_json, run_matrix, CaseFile, FuzzParams, FuzzProfile,
@@ -19,48 +20,16 @@ use fdip_fuzz::{
 use fdip_telemetry::{Json, SCHEMA_VERSION};
 
 fn fuzz_doc() -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/FUZZ.md");
-    std::fs::read_to_string(path).expect("docs/FUZZ.md exists")
-}
-
-fn metrics_doc() -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/METRICS.md");
-    std::fs::read_to_string(path).expect("docs/METRICS.md exists")
-}
-
-fn collect_keys(v: &Json, keys: &mut BTreeSet<String>) {
-    match v {
-        Json::Obj(fields) => {
-            for (k, child) in fields {
-                keys.insert(k.clone());
-                collect_keys(child, keys);
-            }
-        }
-        Json::Arr(items) => {
-            for item in items {
-                collect_keys(item, keys);
-            }
-        }
-        _ => {}
-    }
+    common::repo_doc("docs/FUZZ.md")
 }
 
 fn assert_documented(emitted: &Json, context: &str) {
-    let (fuzz, metrics) = (fuzz_doc(), metrics_doc());
-    let mut keys = BTreeSet::new();
-    collect_keys(emitted, &mut keys);
+    let keys = common::collect_keys(emitted, &[]);
     assert!(keys.len() > 10, "{context}: implausibly few keys emitted");
-    let undocumented: Vec<&String> = keys
-        .iter()
-        .filter(|k| {
-            let tagged = format!("`{k}`");
-            !metrics.contains(&tagged) && !fuzz.contains(&tagged)
-        })
-        .collect();
-    assert!(
-        undocumented.is_empty(),
-        "{context}: keys emitted but not in docs/METRICS.md (or docs/FUZZ.md): \
-         {undocumented:?} — document them (and bump schema_version on renames)"
+    common::assert_documented(
+        &keys,
+        &[&common::repo_doc("docs/METRICS.md"), &fuzz_doc()],
+        &format!("{context} (docs/METRICS.md or docs/FUZZ.md)"),
     );
 }
 

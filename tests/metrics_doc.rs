@@ -10,45 +10,19 @@ use fdip_sim::CoreConfig;
 use fdip_telemetry::{Json, RunManifest, ToJson, SCHEMA_VERSION};
 use std::collections::BTreeSet;
 
-/// Collects every object key in `v`, except below `metrics` (experiment
-/// metric names are experiment-specific and documented as such).
-fn collect_keys(v: &Json, keys: &mut BTreeSet<String>) {
-    match v {
-        Json::Obj(fields) => {
-            for (k, child) in fields {
-                keys.insert(k.clone());
-                if k != "metrics" {
-                    collect_keys(child, keys);
-                }
-            }
-        }
-        Json::Arr(items) => {
-            for item in items {
-                collect_keys(item, keys);
-            }
-        }
-        _ => {}
-    }
-}
+mod common;
 
 fn doc() -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/METRICS.md");
-    std::fs::read_to_string(path).expect("docs/METRICS.md exists")
+    common::repo_doc("docs/METRICS.md")
 }
 
+/// Asserts every key of `emitted` is documented in `doc`, except below
+/// `metrics` (experiment metric names are experiment-specific and
+/// documented as such).
 fn assert_all_documented(emitted: &Json, doc: &str, context: &str) {
-    let mut keys = BTreeSet::new();
-    collect_keys(emitted, &mut keys);
+    let keys = common::collect_keys(emitted, &["metrics"]);
     assert!(keys.len() > 10, "{context}: implausibly few keys emitted");
-    let undocumented: Vec<&String> = keys
-        .iter()
-        .filter(|k| !doc.contains(&format!("`{k}`")))
-        .collect();
-    assert!(
-        undocumented.is_empty(),
-        "{context}: fields emitted but not documented in docs/METRICS.md: \
-         {undocumented:?} — document them (and bump schema_version on renames)"
-    );
+    common::assert_documented(&keys, &[doc], &format!("{context} (docs/METRICS.md)"));
 }
 
 #[test]

@@ -12,8 +12,9 @@
 //!   re-implemented here from the doc's text and compared against the
 //!   production codec.
 
-use std::collections::BTreeSet;
 use std::path::PathBuf;
+
+mod common;
 
 use fdip_harness::remote::{
     cell_key, config_hash, config_to_json, fnv1a64, grid_request, http_json_request, workload_hash,
@@ -24,47 +25,14 @@ use fdip_sim::CoreConfig;
 use fdip_telemetry::Json;
 
 fn serve_doc() -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/SERVE.md");
-    std::fs::read_to_string(path).expect("docs/SERVE.md exists")
-}
-
-fn metrics_doc() -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/METRICS.md");
-    std::fs::read_to_string(path).expect("docs/METRICS.md exists")
-}
-
-fn collect_keys(v: &Json, keys: &mut BTreeSet<String>) {
-    match v {
-        Json::Obj(fields) => {
-            for (k, child) in fields {
-                keys.insert(k.clone());
-                collect_keys(child, keys);
-            }
-        }
-        Json::Arr(items) => {
-            for item in items {
-                collect_keys(item, keys);
-            }
-        }
-        _ => {}
-    }
+    common::repo_doc("docs/SERVE.md")
 }
 
 fn assert_documented(emitted: &Json, context: &str) {
-    let (serve, metrics) = (serve_doc(), metrics_doc());
-    let mut keys = BTreeSet::new();
-    collect_keys(emitted, &mut keys);
-    let undocumented: Vec<&String> = keys
-        .iter()
-        .filter(|k| {
-            let tagged = format!("`{k}`");
-            !serve.contains(&tagged) && !metrics.contains(&tagged)
-        })
-        .collect();
-    assert!(
-        undocumented.is_empty(),
-        "{context}: keys on the wire but not in docs/SERVE.md (or docs/METRICS.md): \
-         {undocumented:?} — document them (and bump schema_version on renames)"
+    common::assert_documented(
+        &common::collect_keys(emitted, &[]),
+        &[&serve_doc(), &common::repo_doc("docs/METRICS.md")],
+        &format!("{context} (docs/SERVE.md or docs/METRICS.md)"),
     );
 }
 
